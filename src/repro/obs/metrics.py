@@ -28,16 +28,20 @@ Registries export two machine formats: :meth:`MetricsRegistry.as_dict` /
 
 Instruments are deliberately tiny pure-Python objects — a counter is one
 integer — so tallying in hot-ish paths (per sweep cell, per cache lookup)
-costs nothing worth measuring.  Per-*reference* instrumentation does not go
-through the registry at all; that is the probe API's job
-(:mod:`repro.obs.probe`), which is compiled out of the hot loop entirely
-when no probe is attached.
+costs nothing worth measuring.  They are safe to tally from many threads
+(the sweep service's request threads share one registry): every
+read-modify-write takes one module-wide lock.  Per-*reference*
+instrumentation does not go through the registry at all; that is the
+probe API's job (:mod:`repro.obs.probe`), which is compiled out of the
+hot loop entirely when no probe is attached.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
+import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -53,6 +57,18 @@ __all__ = [
     "set_registry",
 ]
 
+#: Guards every read-modify-write on an instrument (``+=`` is not atomic).
+_LOCK = threading.Lock()
+
+
+def _reset_lock() -> None:
+    # A child forked while another thread held the lock must not inherit it.
+    global _LOCK
+    _LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_lock)
+
 
 class Counter:
     """A monotonically increasing integer."""
@@ -66,7 +82,8 @@ class Counter:
     def inc(self, amount: int = 1) -> None:
         if amount < 0:
             raise ValueError(f"counter {self.name} cannot decrease")
-        self.value += amount
+        with _LOCK:
+            self.value += amount
 
 
 class Gauge:
@@ -94,8 +111,12 @@ class Timer:
 
     def add(self, seconds: float) -> None:
         """Fold an externally measured duration in (e.g. from a worker)."""
-        self.total_seconds += seconds
-        self.count += 1
+        self.merge(seconds, 1)
+
+    def merge(self, seconds: float, count: int) -> None:
+        with _LOCK:
+            self.total_seconds += seconds
+            self.count += count
 
     @contextmanager
     def time(self) -> Iterator["Timer"]:
@@ -131,12 +152,19 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         value = float(value)
-        self.count += 1
-        self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
+        self.merge(1, value, value, value)
+
+    def merge(
+        self, count: int, total: float, low: Optional[float], high: Optional[float]
+    ) -> None:
+        """Fold in a summary of ``count`` values (``low``/``high`` may be None)."""
+        with _LOCK:
+            self.count += count
+            self.total += total
+            if low is not None and (self.min is None or low < self.min):
+                self.min = low
+            if high is not None and (self.max is None or high > self.max):
+                self.max = high
 
     @property
     def mean(self) -> float:
@@ -153,7 +181,11 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named instruments, created on first use, snapshottable as JSON."""
+    """Named instruments, created on first use, snapshottable as JSON.
+
+    Creation is race-free: ``dict.setdefault`` hands every thread that
+    asks for a new name the same instrument.
+    """
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
@@ -166,25 +198,25 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         instrument = self._counters.get(name)
         if instrument is None:
-            instrument = self._counters[name] = Counter(name)
+            instrument = self._counters.setdefault(name, Counter(name))
         return instrument
 
     def gauge(self, name: str) -> Gauge:
         instrument = self._gauges.get(name)
         if instrument is None:
-            instrument = self._gauges[name] = Gauge(name)
+            instrument = self._gauges.setdefault(name, Gauge(name))
         return instrument
 
     def timer(self, name: str) -> Timer:
         instrument = self._timers.get(name)
         if instrument is None:
-            instrument = self._timers[name] = Timer(name)
+            instrument = self._timers.setdefault(name, Timer(name))
         return instrument
 
     def histogram(self, name: str) -> Histogram:
         instrument = self._histograms.get(name)
         if instrument is None:
-            instrument = self._histograms[name] = Histogram(name)
+            instrument = self._histograms.setdefault(name, Histogram(name))
         return instrument
 
     def counter_value(self, name: str) -> int:
@@ -241,27 +273,21 @@ class MetricsRegistry:
         for name, value in snapshot.get("gauges", {}).items():
             self.gauge(name).set(float(value))
         for name, data in snapshot.get("timers", {}).items():
-            timer = self.timer(name)
-            timer.total_seconds += float(data.get("total_s", 0.0))
-            timer.count += int(data.get("count", 0))
+            self.timer(name).merge(
+                float(data.get("total_s", 0.0)), int(data.get("count", 0))
+            )
         for name, data in snapshot.get("histograms", {}).items():
             histogram = self.histogram(name)
             count = int(data.get("count", 0))
             if count == 0:
                 continue
-            histogram.count += count
-            histogram.total += float(data.get("sum", 0.0))
-            for bound, better in (("min", min), ("max", max)):
-                observed = data.get(bound)
-                if observed is None:
-                    continue
-                current = getattr(histogram, bound)
-                setattr(
-                    histogram,
-                    bound,
-                    float(observed) if current is None
-                    else better(current, float(observed)),
-                )
+            low, high = data.get("min"), data.get("max")
+            histogram.merge(
+                count,
+                float(data.get("sum", 0.0)),
+                None if low is None else float(low),
+                None if high is None else float(high),
+            )
 
     # -- OpenMetrics exposition ------------------------------------------------
 

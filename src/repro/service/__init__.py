@@ -7,18 +7,18 @@ The package splits into four layers, each usable on its own:
   :func:`~repro.service.schema.report_payload`).
 - :mod:`repro.service.jobs` — :class:`~repro.service.jobs.JobManager`:
   queueing, dedupe against the shared :class:`~repro.runner.cache.ResultCache`,
-  per-client rate limiting, TTL eviction, cancellation and drain.  Pure
-  threads + one process per running sweep; no asyncio, so it unit-tests
-  without an event loop.
+  per-client rate limiting, TTL eviction, cancellation and drain.  Plain
+  threads + one process per running sweep; it unit-tests without a server.
 - :mod:`repro.service.journal` — the crash-safe
   :class:`~repro.service.journal.ServiceJournal` of job state
   transitions that :meth:`~repro.service.jobs.JobManager.recover`
   replays after a restart (or a SIGKILL) so interrupted jobs resume
   without re-simulating finished cells.
-- :mod:`repro.service.http` — the asyncio HTTP front end
-  (:class:`~repro.service.http.SweepService`,
-  :func:`~repro.service.http.run_service`) mapping the manager onto
-  ``POST /sweeps`` … ``GET /metrics``.
+- :mod:`repro.service.http` — the HTTP front end
+  (:class:`~repro.service.http.SweepService`, a stdlib
+  ``ThreadingHTTPServer``, and :func:`~repro.service.http.run_service`)
+  mapping the manager onto ``POST /sweeps`` … ``GET /metrics`` from one
+  thread per request — the service has no event loop.
 - :mod:`repro.service.client` — :class:`~repro.service.client.ServiceClient`,
   a stdlib-only client used by the tests, the CI smoke job and
   ``examples/sweep_service.py``.

@@ -28,6 +28,7 @@ import http.client
 import json
 import time
 import uuid
+from contextlib import contextmanager
 from typing import Dict, Iterator, Optional, Tuple
 from urllib.parse import urlsplit
 
@@ -57,6 +58,15 @@ class ServiceError(Exception):
             if isinstance(value, (int, float)):
                 return float(value)
         return None
+
+
+def _decode(raw: bytes, key: str) -> object:
+    """A body's JSON, or its text as ``{key: text}`` when it is not JSON."""
+    text = raw.decode(errors="replace")
+    try:
+        return json.loads(text or "null")
+    except json.JSONDecodeError:
+        return {key: text}
 
 
 class ServiceClient:
@@ -98,7 +108,8 @@ class ServiceClient:
         while True:
             attempt += 1
             try:
-                return self._request_once(method, path, body, extra_headers)
+                with self._open(method, path, body, extra_headers) as response:
+                    return _decode(response.read(), "raw")
             except ServiceError as error:
                 if (
                     self.retry is None
@@ -119,13 +130,19 @@ class ServiceClient:
                     raise
                 time.sleep(self.retry.delay(f"{method} {path}", attempt))
 
-    def _request_once(
+    @contextmanager
+    def _open(
         self,
         method: str,
         path: str,
         body: Optional[dict] = None,
         extra_headers: Tuple[Tuple[str, str], ...] = (),
-    ) -> Dict:
+    ) -> Iterator[http.client.HTTPResponse]:
+        """One connection and request; yields a 2xx response, else raises.
+
+        A non-2xx response raises :class:`ServiceError` carrying its
+        decoded JSON body (or the raw text as ``error``).
+        """
         connection = http.client.HTTPConnection(
             self.host, self.port, timeout=self.timeout
         )
@@ -137,14 +154,9 @@ class ServiceClient:
             headers.update(extra_headers)
             connection.request(method, path, body=payload, headers=headers)
             response = connection.getresponse()
-            raw = response.read()
-            try:
-                decoded = json.loads(raw.decode() or "null")
-            except json.JSONDecodeError:
-                decoded = {"raw": raw.decode(errors="replace")}
             if response.status >= 400:
-                raise ServiceError(response.status, decoded)
-            return decoded
+                raise ServiceError(response.status, _decode(response.read(), "error"))
+            yield response
         finally:
             connection.close()
 
@@ -198,47 +210,18 @@ class ServiceClient:
         return self._request("POST", f"/sweeps/{job_id}/cancel")
 
     def metrics(self) -> str:
-        """The raw OpenMetrics exposition text."""
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
-        try:
-            connection.request(
-                "GET", "/metrics", headers={"X-Client": self.client_name}
-            )
-            response = connection.getresponse()
-            raw = response.read().decode()
-            if response.status >= 400:
-                raise ServiceError(response.status, {"error": raw})
-            return raw
-        finally:
-            connection.close()
+        """The raw OpenMetrics exposition text (never retried)."""
+        with self._open("GET", "/metrics") as response:
+            return response.read().decode()
 
     def events(self, job_id: str) -> Iterator[Dict]:
-        """Stream the job's NDJSON events until the server closes."""
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
-        try:
-            connection.request(
-                "GET",
-                f"/sweeps/{job_id}/events",
-                headers={"X-Client": self.client_name},
-            )
-            response = connection.getresponse()
-            if response.status >= 400:
-                raw = response.read().decode()
-                try:
-                    payload = json.loads(raw or "null")
-                except json.JSONDecodeError:
-                    payload = {"error": raw}
-                raise ServiceError(response.status, payload)
+        """Stream the job's NDJSON events until the server closes (never
+        retried: a replay would repeat events already yielded)."""
+        with self._open("GET", f"/sweeps/{job_id}/events") as response:
             for line in response:
                 line = line.strip()
                 if line:
                     yield json.loads(line.decode())
-        finally:
-            connection.close()
 
     def wait(
         self,

@@ -1,11 +1,11 @@
 """Job lifecycle behind the sweep service: queue, dedupe, run, reap.
 
-The manager is deliberately asyncio-free — plain threads, a bounded
-:class:`queue.Queue` and one ``multiprocessing`` child per running sweep —
-so every policy here (rate limits, backpressure, cancellation, drain)
-unit-tests without an event loop.  The HTTP layer in
-:mod:`repro.service.http` is a thin translation of the exceptions raised
-by :meth:`JobManager.submit` into status codes.
+The manager is plain threads, a bounded :class:`queue.Queue` and one
+``multiprocessing`` child per running sweep, so every policy here (rate
+limits, backpressure, cancellation, drain) unit-tests without a server.
+Its methods are thread-safe: the HTTP layer in :mod:`repro.service.http`
+calls them straight from its per-request threads and translates the
+exceptions raised by :meth:`JobManager.submit` into status codes.
 
 Submission pipeline, in order::
 
@@ -349,6 +349,7 @@ class JobManager:
         self._idempotency: Dict[str, str] = {}
         self._buckets: Dict[str, TokenBucket] = {}
         self._lock = threading.Lock()
+        self._admit_lock = threading.Lock()
         self._queue: "queue.Queue[Optional[Job]]" = queue.Queue(
             maxsize=queue_limit
         )
@@ -423,55 +424,62 @@ class JobManager:
             else request.idempotency_key
         )
         sweep_key = request.sweep_key()
+        fully_cached = self._fully_cached(request)
 
-        with self._lock:
-            for job in self._jobs.values():
-                if job.sweep_key == sweep_key and job.state not in JobState.TERMINAL:
-                    self.registry.counter("service.jobs_coalesced").inc()
-                    if key is not None:
-                        self._idempotency[key] = job.job_id
-                    return job
+        # One admission at a time from the coalescing check to the
+        # registration: identical submissions racing through here would
+        # otherwise all miss the check and each create a job.
+        with self._admit_lock:
+            with self._lock:
+                for job in self._jobs.values():
+                    if (
+                        job.sweep_key == sweep_key
+                        and job.state not in JobState.TERMINAL
+                    ):
+                        self.registry.counter("service.jobs_coalesced").inc()
+                        if key is not None:
+                            self._idempotency[key] = job.job_id
+                        return job
 
-        job = Job(
-            job_id=uuid.uuid4().hex[:12],
-            request=request,
-            sweep_key=sweep_key,
-            directory=self.jobs_root / "pending",
-            client=client,
-            submitted_at=time.time(),
-            idempotency_key=key,
-        )
-        job.directory = self.jobs_root / job.job_id
-        job.directory.mkdir(parents=True, exist_ok=True)
-        (job.directory / "request.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True)
-        )
-        write_status(
-            job.status_path,
-            {"state": JobState.QUEUED, "cells": len(request.specs)},
-        )
-        self.journal.record(
-            job.job_id,
-            "submitted",
-            sweep_key=sweep_key,
-            client=client,
-            idempotency_key=key,
-            request=payload,
-            cells=len(request.specs),
-            submitted_at=job.submitted_at,
-        )
+            job = Job(
+                job_id=uuid.uuid4().hex[:12],
+                request=request,
+                sweep_key=sweep_key,
+                directory=self.jobs_root / "pending",
+                client=client,
+                submitted_at=time.time(),
+                idempotency_key=key,
+            )
+            job.directory = self.jobs_root / job.job_id
+            job.directory.mkdir(parents=True, exist_ok=True)
+            (job.directory / "request.json").write_text(
+                json.dumps(payload, indent=2, sort_keys=True)
+            )
+            write_status(
+                job.status_path,
+                {"state": JobState.QUEUED, "cells": len(request.specs)},
+            )
+            self.journal.record(
+                job.job_id,
+                "submitted",
+                sweep_key=sweep_key,
+                client=client,
+                idempotency_key=key,
+                request=payload,
+                cells=len(request.specs),
+                submitted_at=job.submitted_at,
+            )
+            job.deduped = fully_cached
+            self._register(job)
 
-        if self._fully_cached(request):
+        if job.deduped:
             # Zero simulations ahead: replay inline through the shared cache
             # so the hits count in the service registry and the caller gets
             # a terminal job immediately, bypassing the queue entirely.
-            job.deduped = True
             self.registry.counter("service.jobs_deduped").inc()
-            self._register(job)
             self._run_inline(job)
             return job
 
-        self._register(job)
         # Journal "queued" BEFORE the put: once the job is on the queue a
         # worker may append "running" at any moment, and the journal's
         # merge is append-ordered.  A rejected put appends "rejected",

@@ -3,6 +3,9 @@
 import io
 import json
 import logging
+import multiprocessing
+import sys
+import threading
 
 import pytest
 
@@ -16,6 +19,7 @@ from repro.obs import (
     collect_manifest,
     profile_spec,
 )
+from repro.obs import metrics as metrics_module
 from repro.obs.log import fields, get_logger, setup_logging
 from repro.protocols.registry import PROTOCOLS, create_protocol
 from repro.runner import ResultCache, RunSpec, run_sweep
@@ -91,6 +95,54 @@ class TestMetricsRegistry:
         loaded = json.loads(path.read_text())
         assert loaded == json.loads(json.dumps(registry.as_dict()))
         assert loaded["counters"]["a"] == 1
+
+    def test_tallies_from_many_threads_are_exact(self):
+        registry = MetricsRegistry()
+        threads, rounds = 8, 2000
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+
+        def tally(index):
+            for round_ in range(rounds):
+                registry.counter("shared").inc()
+                registry.counter(f"fresh.{round_}").inc()
+                registry.timer("t").add(0.5)
+                registry.histogram("h").observe(index)
+
+        try:
+            workers = [
+                threading.Thread(target=tally, args=(i,)) for i in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        snapshot = registry.as_dict()
+        assert snapshot["counters"]["shared"] == threads * rounds
+        fresh = [v for k, v in snapshot["counters"].items() if k.startswith("fresh.")]
+        assert sum(fresh) == threads * rounds
+        assert snapshot["timers"]["t"]["count"] == threads * rounds
+        assert snapshot["timers"]["t"]["total_s"] == threads * rounds * 0.5
+        histogram = snapshot["histograms"]["h"]
+        assert histogram["count"] == threads * rounds
+        assert (histogram["min"], histogram["max"]) == (0.0, threads - 1.0)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
+    def test_a_fork_never_inherits_the_lock_held(self):
+        context = multiprocessing.get_context("fork")
+        with metrics_module._LOCK:  # as if another thread were mid-tally
+            child = context.Process(target=MetricsRegistry().counter("c").inc)
+            child.start()
+        child.join(timeout=20)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        assert child.exitcode == 0
 
 
 class TestProbeBitIdentity:

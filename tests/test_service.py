@@ -13,6 +13,8 @@ The heavy contracts from the issue live here:
 - drain stops admission and waits work out.
 """
 
+import http.client
+import json
 import threading
 import time
 from contextlib import contextmanager
@@ -283,6 +285,21 @@ class TestBackpressure:
             assert excinfo.value.status == 429
             assert excinfo.value.retry_after > 0
             assert manager.registry.counter("service.rate_limited").value == 1
+            # The header advertises whole seconds, rounded up, never 0.
+            connection = http.client.HTTPConnection(client.host, client.port)
+            connection.request(
+                "POST",
+                "/sweeps",
+                body=json.dumps(doc("dragon")),
+                headers={"X-Client": "tester"},
+            )
+            response = connection.getresponse()
+            payload = json.loads(response.read())
+            connection.close()
+            assert response.status == 429
+            advertised = int(response.getheader("Retry-After"))
+            assert advertised >= 1
+            assert advertised >= payload["retry_after_s"]
             # A different client has its own bucket.
             other = ServiceClient(
                 f"http://{client.host}:{client.port}", client="other"
