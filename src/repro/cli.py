@@ -73,6 +73,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -620,8 +621,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _scale(args: argparse.Namespace) -> float:
-    if args.scale <= 0:
-        raise UsageError("--scale must be positive")
+    if not 0 < args.scale < math.inf:
+        raise UsageError("--scale must be positive and finite")
     return 1.0 / args.scale
 
 
@@ -698,16 +699,16 @@ def _run_grid(args: argparse.Namespace, specs: List[RunSpec]) -> SweepReport:
     emit_spans = getattr(args, "emit_spans", None)
     telemetry = SpanRecorder() if emit_spans else None
     heartbeat_seconds = getattr(args, "heartbeat_seconds", None)
-    if heartbeat_seconds is not None and heartbeat_seconds < 0:
-        raise UsageError("--heartbeat-seconds must be >= 0 (0 disables)")
+    if heartbeat_seconds is not None and not 0 <= heartbeat_seconds < math.inf:
+        raise UsageError("--heartbeat-seconds must be finite and >= 0 (0 disables)")
     status_file = getattr(args, "status_file", None)
 
     retries = getattr(args, "retries", 0)
     if retries < 0:
         raise UsageError("--retries must be >= 0")
     cell_timeout = getattr(args, "cell_timeout", None)
-    if cell_timeout is not None and cell_timeout <= 0:
-        raise UsageError("--cell-timeout must be positive")
+    if cell_timeout is not None and not 0 < cell_timeout < math.inf:
+        raise UsageError("--cell-timeout must be positive and finite")
     max_failures = getattr(args, "max_failures", None)
     if max_failures is not None and max_failures < 0:
         raise UsageError("--max-failures must be >= 0")

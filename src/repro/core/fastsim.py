@@ -5,9 +5,10 @@
 :class:`~repro.core.counters.SimulationCounters` (the differential suite in
 ``tests/test_backend_differential.py`` proves this for every registered
 protocol).  Instead of calling the protocol's ``_read``/``_write`` per
-reference, it asks the protocol to :meth:`~repro.protocols.base.CoherenceProtocol.compile_table`
-itself into a 512-entry dispatch table (see :mod:`repro.protocols.table`) and
-then drives a tight integer kernel:
+reference, it asks the protocol for its
+:meth:`~repro.protocols.base.CoherenceProtocol.compile_table` — a 512-entry
+dispatch table read off those same methods once, at construction (see
+:mod:`repro.protocols.table`) — and then drives a tight integer kernel:
 
 * per-block state is one packed integer — holder mask, dirty owner, and the
   optional aux annotation (Write-Once reserved / Illinois exclusive /
@@ -110,17 +111,18 @@ class FastPipeline:
         check_values: bool = False,
         probe: Optional["ReferenceProbe"] = None,
     ) -> None:
-        table = protocol.compile_table()
         probe_granularity = (
             getattr(probe, "granularity", "reference") if probe is not None else None
         )
         custom_stage = stage is not None and not isinstance(stage, InfinitePassthrough)
-        table_mode = (
-            table is not None
-            and not check_values
+        # Derive the table only when the configuration lets the kernel run.
+        table = (
+            protocol.compile_table()
+            if not check_values
             and check_invariants_every == 0
             and not custom_stage
             and probe_granularity in (None, "batch")
+            else None
         )
         # An explicit InfinitePassthrough overrides geometry, exactly as the
         # reference pipeline's constructor does.
@@ -131,7 +133,7 @@ class FastPipeline:
         self.protocol = protocol
         self.block_size = block_size
         self.sharing_model = sharing_model
-        if table_mode:
+        if table is not None:
             # The inner reference pipeline only owns the sharing-unit
             # registry (and packages results); it never steps a reference.
             self._ref = ReferencePipeline(
@@ -228,7 +230,7 @@ class FastPipeline:
         aux = ("none", "self", "other")[(code >> 7) & 3]
         fclass = (code >> 5) & 3
         return TableError(
-            f"protocol {self.protocol.name!r}: no transition rule for "
+            f"protocol {self.protocol.name!r}: no derived transition for "
             f"condition write={bool(code & 1)} first={bool(code & 2)} "
             f"held={bool(code & 4)} dirty={dirty} fclass={fclass} aux={aux} "
             f"(code {code})"

@@ -145,16 +145,19 @@ class CoherenceProtocol(abc.ABC):
         return block in self._seen
 
     def compile_table(self) -> Optional["TransitionTable"]:
-        """Compile this protocol's transition function into a lookup table.
+        """This protocol's transition function as a lookup table.
 
         The fast backend (:mod:`repro.core.fastsim`) uses the table to
         process references without calling :meth:`access`.  Protocols whose
         per-block state fits the table vocabulary (sharing mask + dirty
-        owner + at most one cache-valued annotation) override this; the
-        default ``None`` routes the fast backend through the reference
-        pipeline instead.  Subclasses that *change* transition behaviour
-        relative to a compilable parent must override back to ``None``
-        unless they supply their own table.
+        owner + at most one cache-valued annotation) override this with one
+        :func:`~repro.protocols.table.derive_table` call, which reads the
+        table off their own :meth:`_read`/:meth:`_write`; the default
+        ``None`` routes the fast backend through the reference pipeline
+        instead.  A subclass inherits its parent's derivation, run on the
+        subclass's own code, so one that keeps per-block state outside the
+        sharing table and that one annotation dict must opt out by
+        returning ``None`` (as ``DirCoarse`` and ``DiriNB`` do).
         """
         return None
 

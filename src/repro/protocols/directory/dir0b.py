@@ -26,97 +26,9 @@ from ...interconnect.bus import BusOp
 from ...memory.sharing import NO_OWNER, bit_count
 from ..base import NO_OPS, AccessOutcome, CoherenceProtocol, OpList
 from ..events import Event
-from ..table import InvalidationSpec, Rule, TransitionTable, compile_rules
+from ..table import TransitionTable, derive_table
 
 __all__ = ["Dir0B"]
-
-_MEM_OV: OpList = ((BusOp.MEM_ACCESS, 1), (BusOp.DIR_CHECK_OVERLAPPED, 1))
-_FLUSH_OV: OpList = (
-    (BusOp.FLUSH_REQUEST, 1),
-    (BusOp.WRITE_BACK, 1),
-    (BusOp.DIR_CHECK_OVERLAPPED, 1),
-)
-
-#: The Dir0B-family transition function as table rules (matched in order).
-#: The whole family shares these — only the :class:`InvalidationSpec`
-#: spliced in at ``invalidates_remote`` points differs per scheme.
-_FAMILY_RULES = (
-    # reads (mirrors _read top to bottom)
-    Rule(write=False, event=Event.READ_HIT, held=True),
-    Rule(write=False, event=Event.RM_FIRST_REF, first=True, mask="add"),
-    Rule(
-        write=False,
-        event=Event.RM_BLK_DIRTY,
-        dirty="remote",
-        ops=_FLUSH_OV,
-        clear_dirty=True,
-        mask="add",
-    ),
-    Rule(
-        write=False,
-        event=Event.RM_BLK_CLEAN,
-        fclass=(1, 2),
-        ops=_MEM_OV,
-        mask="add",
-    ),
-    Rule(write=False, event=Event.RM_UNCACHED, ops=_MEM_OV, mask="add"),
-    # writes (mirrors _write / _write_hit_clean / _write_miss)
-    Rule(write=True, event=Event.WH_BLK_DIRTY, held=True, dirty="local"),
-    Rule(
-        write=True,
-        event=Event.WH_BLK_CLEAN,
-        held=True,
-        fclass=(1, 2),
-        ops=((BusOp.DIR_CHECK, 1),),
-        invalidates_remote=True,
-        fanout="F",
-        mask="only",
-        set_dirty=True,
-    ),
-    Rule(
-        write=True,
-        event=Event.WH_BLK_CLEAN,
-        held=True,
-        ops=((BusOp.DIR_CHECK, 1),),
-        fanout="F",
-        set_dirty=True,
-    ),
-    Rule(
-        write=True, event=Event.WM_FIRST_REF, first=True, mask="add", set_dirty=True
-    ),
-    Rule(
-        write=True,
-        event=Event.WM_BLK_DIRTY,
-        dirty="remote",
-        ops=(
-            (BusOp.FLUSH_REQUEST, 1),
-            (BusOp.WRITE_BACK, 1),
-            (BusOp.INVALIDATE, 1),
-            (BusOp.DIR_CHECK_OVERLAPPED, 1),
-        ),
-        mask="only",
-        set_dirty=True,
-    ),
-    Rule(
-        write=True,
-        event=Event.WM_BLK_CLEAN,
-        fclass=(1, 2),
-        ops=_MEM_OV,
-        invalidates_remote=True,
-        fanout="F",
-        mask="only",
-        set_dirty=True,
-    ),
-    Rule(
-        write=True,
-        event=Event.WM_UNCACHED,
-        ops=_MEM_OV,
-        fanout="F",
-        mask="only",
-        set_dirty=True,
-    ),
-)
-
 
 class Dir0B(CoherenceProtocol):
     """Two-bit broadcast directory protocol (Archibald & Baer)."""
@@ -150,20 +62,9 @@ class Dir0B(CoherenceProtocol):
     def _note_exclusive(self, cache: int, block: int) -> None:
         """Bookkeeping hook: ``cache`` just became the sole (dirty) holder."""
 
-    def _invalidation_spec(self) -> InvalidationSpec:
-        """Table-compilation counterpart of :meth:`_invalidation_ops`.
-
-        Dir0B broadcasts whatever the fan-out, so the directed regime is
-        empty (threshold 0).
-        """
-        return InvalidationSpec(
-            threshold=0, broadcast=((BusOp.BROADCAST_INVALIDATE, 1),)
-        )
-
     def compile_table(self) -> Optional[TransitionTable]:
-        return compile_rules(
-            self.name, _FAMILY_RULES, invalidation=self._invalidation_spec()
-        )
+        # Dir0B broadcasts whatever the fan-out: no directed regime.
+        return derive_table(self, threshold=0)
 
     # -- reads ----------------------------------------------------------------
 

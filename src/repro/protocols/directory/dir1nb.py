@@ -22,73 +22,11 @@ from typing import Optional
 
 from ...interconnect.bus import BusOp
 from ...memory.sharing import NO_OWNER
-from ..base import AccessOutcome, CoherenceProtocol, OpList
+from ..base import AccessOutcome, CoherenceProtocol
 from ..events import Event
-from ..table import Rule, TransitionTable, compile_rules
+from ..table import TransitionTable, derive_table
 
-__all__ = ["Dir1NB", "single_copy_rules"]
-
-
-def single_copy_rules(
-    uncached_ops: OpList, dirty_ops: OpList, clean_ops: OpList
-) -> tuple:
-    """Table rules for the single-copy (take-over-on-miss) schemes.
-
-    Dir1NB and SoftwareFlush share their state-change specification and
-    differ only in the ops each take-over branch charges, so the rule
-    skeleton is parameterised by those three op lists.  The branch order
-    mirrors ``_take_over``: uncached first, then dirty, then clean.
-    """
-    return (
-        Rule(write=False, event=Event.READ_HIT, held=True),
-        Rule(write=False, event=Event.RM_FIRST_REF, first=True, mask="add"),
-        Rule(
-            write=False,
-            event=Event.RM_UNCACHED,
-            fclass=0,
-            ops=uncached_ops,
-            mask="only",
-        ),
-        Rule(
-            write=False,
-            event=Event.RM_BLK_DIRTY,
-            dirty="remote",
-            ops=dirty_ops,
-            mask="only",
-        ),
-        Rule(write=False, event=Event.RM_BLK_CLEAN, ops=clean_ops, mask="only"),
-        Rule(write=True, event=Event.WRITE_HIT, held=True, set_dirty=True),
-        Rule(
-            write=True,
-            event=Event.WM_FIRST_REF,
-            first=True,
-            mask="add",
-            set_dirty=True,
-        ),
-        Rule(
-            write=True,
-            event=Event.WM_UNCACHED,
-            fclass=0,
-            ops=uncached_ops,
-            mask="only",
-            set_dirty=True,
-        ),
-        Rule(
-            write=True,
-            event=Event.WM_BLK_DIRTY,
-            dirty="remote",
-            ops=dirty_ops,
-            mask="only",
-            set_dirty=True,
-        ),
-        Rule(
-            write=True,
-            event=Event.WM_BLK_CLEAN,
-            ops=clean_ops,
-            mask="only",
-            set_dirty=True,
-        ),
-    )
+__all__ = ["Dir1NB"]
 
 
 class Dir1NB(CoherenceProtocol):
@@ -153,25 +91,7 @@ class Dir1NB(CoherenceProtocol):
         return AccessOutcome(event=event, ops=ops)
 
     def compile_table(self) -> Optional[TransitionTable]:
-        # The reference hardcodes one INVALIDATE per take-over: under a
-        # single-pointer directory the displaced copy is always exactly one.
-        return compile_rules(
-            self.name,
-            single_copy_rules(
-                ((BusOp.MEM_ACCESS, 1), (BusOp.DIR_CHECK_OVERLAPPED, 1)),
-                (
-                    (BusOp.FLUSH_REQUEST, 1),
-                    (BusOp.WRITE_BACK, 1),
-                    (BusOp.INVALIDATE, 1),
-                    (BusOp.DIR_CHECK_OVERLAPPED, 1),
-                ),
-                (
-                    (BusOp.MEM_ACCESS, 1),
-                    (BusOp.INVALIDATE, 1),
-                    (BusOp.DIR_CHECK_OVERLAPPED, 1),
-                ),
-            ),
-        )
+        return derive_table(self)
 
     @classmethod
     def directory_bits_per_block(cls, n_caches: int) -> int:

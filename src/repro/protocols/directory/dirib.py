@@ -25,10 +25,11 @@ differs.
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 from ...interconnect.bus import BusOp
 from ..base import OpList
-from ..table import InvalidationSpec
+from ..table import TransitionTable, derive_table
 from .dir0b import Dir0B
 
 __all__ = ["DiriB", "Dir1B"]
@@ -60,18 +61,9 @@ class DiriB(Dir0B):
         self.broadcasts += 1
         return ((BusOp.BROADCAST_INVALIDATE, 1),)
 
-    def _invalidation_spec(self) -> InvalidationSpec:
-        """Directed while the copies fit the pointers, broadcast beyond.
-
-        Note the fast backend does not maintain the per-instance
-        ``broadcasts``/``directed_invalidations`` diagnostics — they are not
-        part of :class:`~repro.core.counters.SimulationCounters`.
-        """
-        return InvalidationSpec(
-            threshold=self.pointers,
-            directed=((BusOp.INVALIDATE, 1),),
-            broadcast=((BusOp.BROADCAST_INVALIDATE, 1),),
-        )
+    def compile_table(self) -> Optional[TransitionTable]:
+        # Directed while the copies fit the pointers, broadcast beyond.
+        return derive_table(self, threshold=self.pointers)
 
     @classmethod
     def directory_bits_per_block(cls, n_caches: int, pointers: int = 1) -> int:

@@ -15,9 +15,11 @@ situations involve at most one remote copy (Figure 1).
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ...interconnect.bus import BusOp
 from ..base import OpList
-from ..table import InvalidationSpec
+from ..table import TransitionTable, derive_table
 from .dir0b import Dir0B
 
 __all__ = ["DirnNB"]
@@ -34,9 +36,9 @@ class DirnNB(Dir0B):
         """One directed invalidation per remote copy."""
         return ((BusOp.INVALIDATE, fanout),)
 
-    def _invalidation_spec(self) -> InvalidationSpec:
-        """Directed messages cover every fan-out (no broadcast regime)."""
-        return InvalidationSpec(threshold=None, directed=((BusOp.INVALIDATE, 1),))
+    def compile_table(self) -> Optional[TransitionTable]:
+        # Directed messages cover every fan-out: no broadcast regime.
+        return derive_table(self)
 
     @classmethod
     def directory_bits_per_block(cls, n_caches: int) -> int:

@@ -23,132 +23,10 @@ from typing import Dict, Optional
 from ...interconnect.bus import BusOp
 from ..base import NO_OPS, AccessOutcome, OpList
 from ..events import Event
-from ..table import Rule, TransitionTable, compile_rules
+from ..table import TransitionTable, derive_table
 from .dirnnb import DirnNB
 
 __all__ = ["YenFu"]
-
-_MEM_OV: OpList = ((BusOp.MEM_ACCESS, 1), (BusOp.DIR_CHECK_OVERLAPPED, 1))
-
-#: YenFu's transition function with the single bit as the table's aux
-#: annotation (aux "self" = this cache's single bit is set for the block).
-_YENFU_RULES = (
-    # reads
-    Rule(write=False, event=Event.READ_HIT, held=True),
-    Rule(
-        write=False, event=Event.RM_FIRST_REF, first=True, mask="add",
-        aux_action="self",
-    ),
-    Rule(
-        write=False,
-        event=Event.RM_BLK_DIRTY,
-        dirty="remote",
-        ops=(
-            (BusOp.FLUSH_REQUEST, 1),
-            (BusOp.WRITE_BACK, 1),
-            (BusOp.DIR_CHECK_OVERLAPPED, 1),
-        ),
-        clear_dirty=True,
-        mask="add",
-        aux_action="clear",  # flush carried the news: no SINGLE_BIT_UPDATE
-    ),
-    Rule(
-        write=False,
-        event=Event.RM_BLK_CLEAN,
-        fclass=(1, 2),
-        aux="other",
-        ops=_MEM_OV + ((BusOp.SINGLE_BIT_UPDATE, 1),),
-        mask="add",
-        aux_action="clear",
-    ),
-    Rule(
-        write=False,
-        event=Event.RM_BLK_CLEAN,
-        fclass=(1, 2),
-        ops=_MEM_OV,
-        mask="add",
-        aux_action="clear",
-    ),
-    Rule(
-        write=False, event=Event.RM_UNCACHED, ops=_MEM_OV, mask="add",
-        aux_action="self",
-    ),
-    # writes
-    Rule(write=True, event=Event.WH_BLK_DIRTY, held=True, dirty="local"),
-    Rule(
-        # The single bit is set: no directory check needed at all.
-        write=True,
-        event=Event.WH_BLK_CLEAN,
-        held=True,
-        aux="self",
-        fanout="F",
-        set_dirty=True,
-    ),
-    Rule(
-        write=True,
-        event=Event.WH_BLK_CLEAN,
-        held=True,
-        fclass=(1, 2),
-        ops=((BusOp.DIR_CHECK, 1),),
-        invalidates_remote=True,
-        fanout="F",
-        mask="only",
-        set_dirty=True,
-        aux_action="self",
-    ),
-    Rule(
-        write=True,
-        event=Event.WH_BLK_CLEAN,
-        held=True,
-        ops=((BusOp.DIR_CHECK, 1),),
-        fanout="F",
-        set_dirty=True,
-        aux_action="self",
-    ),
-    Rule(
-        write=True,
-        event=Event.WM_FIRST_REF,
-        first=True,
-        mask="add",
-        set_dirty=True,
-        aux_action="self",
-    ),
-    Rule(
-        write=True,
-        event=Event.WM_BLK_DIRTY,
-        dirty="remote",
-        ops=(
-            (BusOp.FLUSH_REQUEST, 1),
-            (BusOp.WRITE_BACK, 1),
-            (BusOp.INVALIDATE, 1),
-            (BusOp.DIR_CHECK_OVERLAPPED, 1),
-        ),
-        mask="only",
-        set_dirty=True,
-        aux_action="self",
-    ),
-    Rule(
-        write=True,
-        event=Event.WM_BLK_CLEAN,
-        fclass=(1, 2),
-        ops=_MEM_OV,
-        invalidates_remote=True,
-        fanout="F",
-        mask="only",
-        set_dirty=True,
-        aux_action="self",
-    ),
-    Rule(
-        write=True,
-        event=Event.WM_UNCACHED,
-        ops=_MEM_OV,
-        fanout="F",
-        mask="only",
-        set_dirty=True,
-        aux_action="self",
-    ),
-)
-
 
 class YenFu(DirnNB):
     """Full-map directory plus per-cache single ("only copy") bits."""
@@ -199,14 +77,9 @@ class YenFu(DirnNB):
         return super().evict(cache, block)
 
     def compile_table(self) -> Optional[TransitionTable]:
-        # Note the fast backend does not maintain the per-instance
-        # ``saved_directory_checks`` diagnostic.
-        return compile_rules(
-            self.name,
-            _YENFU_RULES,
-            invalidation=self._invalidation_spec(),
-            has_aux=True,
-        )
+        # The single bits are the table's aux column.  The fast backend does
+        # not maintain the ``saved_directory_checks`` diagnostic.
+        return derive_table(self, aux=self._single)
 
     @classmethod
     def directory_bits_per_block(cls, n_caches: int) -> int:

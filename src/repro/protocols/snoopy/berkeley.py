@@ -30,78 +30,9 @@ from ...interconnect.bus import BusOp
 from ...memory.sharing import NO_OWNER, bit_count
 from ..base import AccessOutcome, CoherenceProtocol
 from ..events import Event
-from ..table import Rule, TransitionTable, compile_rules
+from ..table import TransitionTable, derive_table
 
 __all__ = ["Berkeley"]
-
-_BERKELEY_RULES = (
-    Rule(write=False, event=Event.READ_HIT, held=True),
-    Rule(write=False, event=Event.RM_FIRST_REF, first=True, mask="add"),
-    Rule(
-        # Owner supplies and stays owner (owned-shared); memory stays stale.
-        write=False,
-        event=Event.RM_BLK_DIRTY,
-        dirty="remote",
-        ops=((BusOp.CACHE_SUPPLY, 1),),
-        mask="add",
-    ),
-    Rule(
-        write=False,
-        event=Event.RM_BLK_CLEAN,
-        fclass=(1, 2),
-        ops=((BusOp.MEM_ACCESS, 1),),
-        mask="add",
-    ),
-    Rule(
-        write=False,
-        event=Event.RM_UNCACHED,
-        ops=((BusOp.MEM_ACCESS, 1),),
-        mask="add",
-    ),
-    Rule(
-        write=True, event=Event.WH_BLK_DIRTY, held=True, dirty="local", fclass=0
-    ),
-    Rule(
-        # Unowned or owned-shared: claim ownership with one bus signal, sent
-        # even when no other copies exist (snooping cannot tell).
-        write=True,
-        event=Event.WH_BLK_CLEAN,
-        held=True,
-        ops=((BusOp.BROADCAST_INVALIDATE, 1),),
-        fanout="F",
-        mask="only",
-        set_dirty=True,
-    ),
-    Rule(
-        write=True, event=Event.WM_FIRST_REF, first=True, mask="add", set_dirty=True
-    ),
-    Rule(
-        write=True,
-        event=Event.WM_BLK_DIRTY,
-        dirty="remote",
-        ops=((BusOp.CACHE_SUPPLY, 1),),
-        mask="only",
-        set_dirty=True,
-    ),
-    Rule(
-        write=True,
-        event=Event.WM_BLK_CLEAN,
-        fclass=(1, 2),
-        ops=((BusOp.MEM_ACCESS, 1),),
-        fanout="F",
-        mask="only",
-        set_dirty=True,
-    ),
-    Rule(
-        write=True,
-        event=Event.WM_UNCACHED,
-        ops=((BusOp.MEM_ACCESS, 1),),
-        fanout="F",
-        mask="only",
-        set_dirty=True,
-    ),
-)
-
 
 class Berkeley(CoherenceProtocol):
     """Ownership-based snoopy protocol (Berkeley)."""
@@ -178,4 +109,4 @@ class Berkeley(CoherenceProtocol):
         return AccessOutcome(event=event, ops=ops, invalidation_fanout=fanout)
 
     def compile_table(self) -> Optional[TransitionTable]:
-        return compile_rules(self.name, _BERKELEY_RULES)
+        return derive_table(self)

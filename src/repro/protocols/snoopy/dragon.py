@@ -25,71 +25,9 @@ from ...interconnect.bus import BusOp
 from ...memory.sharing import NO_OWNER
 from ..base import AccessOutcome, CoherenceProtocol
 from ..events import Event
-from ..table import Rule, TransitionTable, compile_rules
+from ..table import TransitionTable, derive_table
 
 __all__ = ["Dragon"]
-
-_DRAGON_RULES = (
-    Rule(write=False, event=Event.READ_HIT, held=True),
-    Rule(write=False, event=Event.RM_FIRST_REF, first=True, mask="add"),
-    Rule(
-        # Owner supplies the block and keeps ownership (shared-dirty).
-        write=False,
-        event=Event.RM_BLK_DIRTY,
-        dirty="remote",
-        ops=((BusOp.CACHE_SUPPLY, 1),),
-        mask="add",
-    ),
-    Rule(
-        write=False,
-        event=Event.RM_BLK_CLEAN,
-        fclass=(1, 2),
-        ops=((BusOp.MEM_ACCESS, 1),),
-        mask="add",
-    ),
-    Rule(
-        write=False,
-        event=Event.RM_UNCACHED,
-        ops=((BusOp.MEM_ACCESS, 1),),
-        mask="add",
-    ),
-    Rule(
-        write=True,
-        event=Event.WH_DISTRIB,
-        held=True,
-        fclass=(1, 2),
-        ops=((BusOp.WRITE_UPDATE, 1),),
-        set_dirty=True,
-    ),
-    Rule(write=True, event=Event.WH_LOCAL, held=True, set_dirty=True),
-    Rule(
-        write=True, event=Event.WM_FIRST_REF, first=True, mask="add", set_dirty=True
-    ),
-    Rule(
-        write=True,
-        event=Event.WM_BLK_DIRTY,
-        dirty="remote",
-        ops=((BusOp.CACHE_SUPPLY, 1), (BusOp.WRITE_UPDATE, 1)),
-        mask="add",
-        set_dirty=True,
-    ),
-    Rule(
-        write=True,
-        event=Event.WM_BLK_CLEAN,
-        fclass=(1, 2),
-        ops=((BusOp.MEM_ACCESS, 1), (BusOp.WRITE_UPDATE, 1)),
-        mask="add",
-        set_dirty=True,
-    ),
-    Rule(
-        write=True,
-        event=Event.WM_UNCACHED,
-        ops=((BusOp.MEM_ACCESS, 1),),
-        mask="add",
-        set_dirty=True,
-    ),
-)
-
 
 class Dragon(CoherenceProtocol):
     """Update-based snoopy protocol."""
@@ -157,4 +95,4 @@ class Dragon(CoherenceProtocol):
         return AccessOutcome(event=event, ops=tuple(ops))
 
     def compile_table(self) -> Optional[TransitionTable]:
-        return compile_rules(self.name, _DRAGON_RULES)
+        return derive_table(self)

@@ -25,78 +25,9 @@ from ...interconnect.bus import BusOp
 from ...memory.sharing import NO_OWNER
 from ..base import AccessOutcome, CoherenceProtocol
 from ..events import Event
-from ..table import Rule, TransitionTable, compile_rules
+from ..table import TransitionTable, derive_table
 
 __all__ = ["Firefly"]
-
-_FIREFLY_RULES = (
-    Rule(write=False, event=Event.READ_HIT, held=True),
-    Rule(write=False, event=Event.RM_FIRST_REF, first=True, mask="add"),
-    Rule(
-        write=False,
-        event=Event.RM_BLK_DIRTY,
-        dirty="remote",
-        ops=((BusOp.FLUSH_REQUEST, 1), (BusOp.WRITE_BACK, 1)),
-        clear_dirty=True,
-        mask="add",
-    ),
-    Rule(
-        write=False,
-        event=Event.RM_BLK_CLEAN,
-        fclass=(1, 2),
-        ops=((BusOp.CACHE_SUPPLY, 1),),
-        mask="add",
-    ),
-    Rule(
-        write=False,
-        event=Event.RM_UNCACHED,
-        ops=((BusOp.MEM_ACCESS, 1),),
-        mask="add",
-    ),
-    Rule(
-        # Shared write: the update goes through to memory too, so the block
-        # stays clean everywhere.
-        write=True,
-        event=Event.WH_DISTRIB,
-        held=True,
-        fclass=(1, 2),
-        ops=((BusOp.WRITE_THROUGH, 1),),
-        clear_dirty=True,
-    ),
-    Rule(write=True, event=Event.WH_LOCAL, held=True, set_dirty=True),
-    Rule(
-        write=True, event=Event.WM_FIRST_REF, first=True, mask="add", set_dirty=True
-    ),
-    Rule(
-        # Joining a sole dirty holder: the block stays shared and clean, and
-        # the written word goes through to memory.
-        write=True,
-        event=Event.WM_BLK_DIRTY,
-        dirty="remote",
-        ops=(
-            (BusOp.FLUSH_REQUEST, 1),
-            (BusOp.WRITE_BACK, 1),
-            (BusOp.WRITE_THROUGH, 1),
-        ),
-        clear_dirty=True,
-        mask="add",
-    ),
-    Rule(
-        write=True,
-        event=Event.WM_BLK_CLEAN,
-        fclass=(1, 2),
-        ops=((BusOp.CACHE_SUPPLY, 1), (BusOp.WRITE_THROUGH, 1)),
-        mask="add",
-    ),
-    Rule(
-        write=True,
-        event=Event.WM_UNCACHED,
-        ops=((BusOp.MEM_ACCESS, 1),),
-        mask="add",
-        set_dirty=True,
-    ),
-)
-
 
 class Firefly(CoherenceProtocol):
     """Update-based snoopy protocol with write-through for shared blocks."""
@@ -169,4 +100,4 @@ class Firefly(CoherenceProtocol):
         return AccessOutcome(event=event, ops=tuple(ops))
 
     def compile_table(self) -> Optional[TransitionTable]:
-        return compile_rules(self.name, _FIREFLY_RULES)
+        return derive_table(self)

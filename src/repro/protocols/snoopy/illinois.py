@@ -23,97 +23,9 @@ from ...interconnect.bus import BusOp
 from ...memory.sharing import NO_OWNER, bit_count
 from ..base import AccessOutcome, CoherenceProtocol, OpList
 from ..events import Event
-from ..table import Rule, TransitionTable, compile_rules
+from ..table import TransitionTable, derive_table
 
 __all__ = ["Illinois"]
-
-#: MESI with the Exclusive state as the table's aux annotation.
-_ILLINOIS_RULES = (
-    Rule(write=False, event=Event.READ_HIT, held=True),
-    Rule(
-        write=False, event=Event.RM_FIRST_REF, first=True, mask="add",
-        aux_action="self",
-    ),
-    Rule(
-        write=False,
-        event=Event.RM_BLK_DIRTY,
-        dirty="remote",
-        ops=((BusOp.FLUSH_REQUEST, 1), (BusOp.WRITE_BACK, 1)),
-        clear_dirty=True,
-        mask="add",
-        aux_action="clear",
-    ),
-    Rule(
-        # Cache-to-cache transfer even for clean blocks.
-        write=False,
-        event=Event.RM_BLK_CLEAN,
-        fclass=(1, 2),
-        ops=((BusOp.CACHE_SUPPLY, 1),),
-        mask="add",
-        aux_action="clear",
-    ),
-    Rule(
-        # No other cache can serve: install Exclusive.
-        write=False,
-        event=Event.RM_UNCACHED,
-        ops=((BusOp.MEM_ACCESS, 1),),
-        mask="add",
-        aux_action="self",
-    ),
-    Rule(write=True, event=Event.WH_BLK_DIRTY, held=True, dirty="local"),
-    Rule(
-        # E -> M silently.
-        write=True,
-        event=Event.WH_BLK_CLEAN,
-        held=True,
-        aux="self",
-        fanout="F",
-        set_dirty=True,
-        aux_action="clear",
-    ),
-    Rule(
-        # S -> M: one bus invalidation signal.
-        write=True,
-        event=Event.WH_BLK_CLEAN,
-        held=True,
-        ops=((BusOp.BROADCAST_INVALIDATE, 1),),
-        fanout="F",
-        mask="only",
-        set_dirty=True,
-    ),
-    Rule(
-        write=True, event=Event.WM_FIRST_REF, first=True, mask="add", set_dirty=True
-    ),
-    Rule(
-        write=True,
-        event=Event.WM_BLK_DIRTY,
-        dirty="remote",
-        ops=((BusOp.FLUSH_REQUEST, 1), (BusOp.WRITE_BACK, 1)),
-        mask="only",
-        set_dirty=True,
-        aux_action="clear",
-    ),
-    Rule(
-        write=True,
-        event=Event.WM_BLK_CLEAN,
-        fclass=(1, 2),
-        ops=((BusOp.CACHE_SUPPLY, 1),),
-        fanout="F",
-        mask="only",
-        set_dirty=True,
-        aux_action="clear",
-    ),
-    Rule(
-        write=True,
-        event=Event.WM_UNCACHED,
-        ops=((BusOp.MEM_ACCESS, 1),),
-        fanout="F",
-        mask="only",
-        set_dirty=True,
-        aux_action="clear",
-    ),
-)
-
 
 class Illinois(CoherenceProtocol):
     """MESI with cache-to-cache supply (Illinois protocol)."""
@@ -212,4 +124,5 @@ class Illinois(CoherenceProtocol):
         return super().evict(cache, block)
 
     def compile_table(self) -> Optional[TransitionTable]:
-        return compile_rules(self.name, _ILLINOIS_RULES, has_aux=True)
+        # The Exclusive state is the table's aux column.
+        return derive_table(self, aux=self._exclusive)

@@ -24,93 +24,9 @@ from ...interconnect.bus import BusOp
 from ...memory.sharing import NO_OWNER, bit_count
 from ..base import AccessOutcome, CoherenceProtocol, OpList
 from ..events import Event
-from ..table import Rule, TransitionTable, compile_rules
+from ..table import TransitionTable, derive_table
 
 __all__ = ["WriteOnce"]
-
-#: Write-Once with the reserved state as the table's aux annotation.
-_WRITE_ONCE_RULES = (
-    Rule(write=False, event=Event.READ_HIT, held=True),
-    Rule(write=False, event=Event.RM_FIRST_REF, first=True, mask="add"),
-    Rule(
-        write=False,
-        event=Event.RM_BLK_DIRTY,
-        dirty="remote",
-        ops=((BusOp.FLUSH_REQUEST, 1), (BusOp.WRITE_BACK, 1)),
-        clear_dirty=True,
-        mask="add",
-        aux_action="clear",
-    ),
-    Rule(
-        write=False,
-        event=Event.RM_BLK_CLEAN,
-        fclass=(1, 2),
-        ops=((BusOp.MEM_ACCESS, 1),),
-        mask="add",
-        aux_action="clear",
-    ),
-    Rule(
-        write=False,
-        event=Event.RM_UNCACHED,
-        ops=((BusOp.MEM_ACCESS, 1),),
-        mask="add",
-        aux_action="clear",
-    ),
-    Rule(write=True, event=Event.WH_BLK_DIRTY, held=True, dirty="local"),
-    Rule(
-        # Second write: reserved -> dirty, purely local.
-        write=True,
-        event=Event.WH_BLK_CLEAN,
-        held=True,
-        aux="self",
-        fanout="F",
-        set_dirty=True,
-        aux_action="clear",
-    ),
-    Rule(
-        # First write to a valid block: one word written through; the block
-        # becomes reserved (clean, known-sole), not dirty.
-        write=True,
-        event=Event.WH_BLK_CLEAN,
-        held=True,
-        ops=((BusOp.WRITE_THROUGH, 1),),
-        fanout="F",
-        mask="only",
-        aux_action="self",
-    ),
-    Rule(
-        write=True, event=Event.WM_FIRST_REF, first=True, mask="add", set_dirty=True
-    ),
-    Rule(
-        write=True,
-        event=Event.WM_BLK_DIRTY,
-        dirty="remote",
-        ops=((BusOp.FLUSH_REQUEST, 1), (BusOp.WRITE_BACK, 1)),
-        mask="only",
-        set_dirty=True,
-        aux_action="clear",
-    ),
-    Rule(
-        write=True,
-        event=Event.WM_BLK_CLEAN,
-        fclass=(1, 2),
-        ops=((BusOp.MEM_ACCESS, 1),),
-        fanout="F",
-        mask="only",
-        set_dirty=True,
-        aux_action="clear",
-    ),
-    Rule(
-        write=True,
-        event=Event.WM_UNCACHED,
-        ops=((BusOp.MEM_ACCESS, 1),),
-        fanout="F",
-        mask="only",
-        set_dirty=True,
-        aux_action="clear",
-    ),
-)
-
 
 class WriteOnce(CoherenceProtocol):
     """Goodman's write-once protocol: write through once, then copy back."""
@@ -206,4 +122,5 @@ class WriteOnce(CoherenceProtocol):
         return super().evict(cache, block)
 
     def compile_table(self) -> Optional[TransitionTable]:
-        return compile_rules(self.name, _WRITE_ONCE_RULES, has_aux=True)
+        # The reserved state is the table's aux column.
+        return derive_table(self, aux=self._reserved)

@@ -24,54 +24,11 @@ from ...interconnect.bus import BusOp
 from ...memory.sharing import bit_count
 from ..base import AccessOutcome, CoherenceProtocol
 from ..events import Event
-from ..table import Rule, TransitionTable, compile_rules
+from ..table import TransitionTable, derive_table
 
 __all__ = ["WTI"]
 
 _WT_OP = ((BusOp.WRITE_THROUGH, 1),)
-
-_WTI_RULES = (
-    Rule(write=False, event=Event.READ_HIT, held=True),
-    Rule(write=False, event=Event.RM_FIRST_REF, first=True, mask="add"),
-    Rule(
-        write=False,
-        event=Event.RM_BLK_CLEAN,
-        fclass=(1, 2),
-        ops=((BusOp.MEM_ACCESS, 1),),
-        mask="add",
-    ),
-    Rule(
-        write=False,
-        event=Event.RM_UNCACHED,
-        ops=((BusOp.MEM_ACCESS, 1),),
-        mask="add",
-    ),
-    Rule(
-        write=True,
-        event=Event.WRITE_HIT,
-        held=True,
-        ops=_WT_OP,
-        fanout="F",
-        mask="only",
-    ),
-    Rule(write=True, event=Event.WM_FIRST_REF, first=True, ops=_WT_OP, mask="add"),
-    Rule(
-        write=True,
-        event=Event.WM_BLK_CLEAN,
-        fclass=(1, 2),
-        ops=((BusOp.MEM_ACCESS, 1),) + _WT_OP,
-        fanout="F",
-        mask="only",
-    ),
-    Rule(
-        write=True,
-        event=Event.WM_UNCACHED,
-        ops=((BusOp.MEM_ACCESS, 1),) + _WT_OP,
-        fanout="F",
-        mask="add",
-    ),
-)
-
 
 class WTI(CoherenceProtocol):
     """Write-through snoopy protocol with invalidation."""
@@ -125,4 +82,4 @@ class WTI(CoherenceProtocol):
         )
 
     def compile_table(self) -> Optional[TransitionTable]:
-        return compile_rules(self.name, _WTI_RULES)
+        return derive_table(self)

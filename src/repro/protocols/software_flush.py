@@ -20,14 +20,11 @@ full memory round trip.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..interconnect.bus import BusOp
 from ..memory.sharing import NO_OWNER
 from .base import AccessOutcome
-from .directory.dir1nb import Dir1NB, single_copy_rules
+from .directory.dir1nb import Dir1NB
 from .events import Event
-from .table import TransitionTable, compile_rules
 
 __all__ = ["SoftwareFlush"]
 
@@ -67,16 +64,6 @@ class SoftwareFlush(Dir1NB):
         if dirty_after:
             sharing.set_dirty(block, cache)
         return AccessOutcome(event=event, ops=ops)
-
-    def compile_table(self) -> Optional[TransitionTable]:
-        return compile_rules(
-            self.name,
-            single_copy_rules(
-                ((BusOp.MEM_ACCESS, 1),),
-                ((BusOp.WRITE_BACK, 1), (BusOp.MEM_ACCESS, 1)),
-                ((BusOp.MEM_ACCESS, 1),),
-            ),
-        )
 
     @classmethod
     def directory_bits_per_block(cls, n_caches: int) -> int:

@@ -1,12 +1,9 @@
-"""Transition-table compilation: protocol rules as integer lookup arrays.
+"""Transition tables derived from each protocol's own ``_read``/``_write``.
 
 The fast backend (:mod:`repro.core.fastsim`) does not call a protocol's
-``_read``/``_write`` methods per reference.  Instead, each compilable
-protocol describes its transition function *declaratively* as an ordered
-list of :class:`Rule` objects — a direct transcription of the ``if``/``elif``
-ladder in its ``_read``/``_write`` code — and this module expands the rules
-into a 512-entry dispatch table indexed by a **condition code** computed
-from per-block state:
+``_read``/``_write`` methods per reference.  It looks up a 512-entry
+dispatch table indexed by a **condition code** computed from per-block
+state:
 
 ========  ==========================================================
 bit 0     the reference is a write
@@ -19,60 +16,52 @@ bits 7-8  aux annotation: 0 = none, 1 = self, 2 = another cache
 ========  ==========================================================
 
 ``F`` is the remote holder count.  The *threshold* splits invalidation
-situations into the directed regime and the broadcast regime, which is what
-collapses the whole Dir0B/DirnNB/DiriB family into one rule set plus an
-:class:`InvalidationSpec`.  The *aux* axis carries the one per-block
-annotation some protocols keep beyond the sharing table: Yen & Fu's single
-bit, Write-Once's reserved state, Illinois's exclusive state.
+situations into a directed regime and a broadcast regime (Dir0B 0, DiriB
+its pointer count, ``None`` for schemes whose costs are one function of
+``F``).  The *aux* axis carries the one per-block annotation some protocols
+keep beyond the sharing table: Yen & Fu's single bit, Write-Once's reserved
+state, Illinois's exclusive state.
 
-Each dispatch entry is a :class:`Row`: the Table 4 event, constant bus ops,
-bus ops linear in ``F``, whether the reference populates the Figure 1
-fan-out histogram, and the state-update actions (all drawn from a fixed
-vocabulary the kernel executes in a fixed order).  Rows are pure data, so
-the kernel can tally *hits per row* and reconstruct bit-identical
+The protocol's imperative code is the one definition of its semantics; the
+table is *read off* it.  :func:`derive_table` builds, on a private copy of
+the protocol, one representative single-block state per condition —
+requester cache 0, remote holders ``1..F``, a remote owner or annotation
+at cache 1 — calls :meth:`~repro.protocols.base.CoherenceProtocol.access`
+at every ``F`` the condition's class admits, and records what happened as
+a :class:`Row`: the Table 4 event, constant bus ops, bus ops linear in
+``F`` (both checked at every ``F``), whether the reference populates the
+Figure 1 fan-out histogram, whether it used the bus, and the first state
+update from the kernel's fixed action vocabulary that reproduces the next
+state at every ``F``.  Rows are pure data, so the kernel can tally *hits
+per row* and reconstruct bit-identical
 :class:`~repro.core.counters.SimulationCounters` at flush time — op
 multisets, not op sequences, are what the counters observe.
 
-Conditions not matched by any rule stay unmapped; the kernel raises
-:class:`TableError` if a trace ever reaches one, which the differential
-test suite treats as a failure.  Protocols whose state does not fit this
-vocabulary (per-block admission order, coarse digit codes, per-cache decay
-counters) simply do not compile — ``compile_table()`` returns ``None`` and
-the fast backend falls back to stepping the reference pipeline.
+A condition whose representative raises, or whose outcome the vocabulary
+cannot express, stays unmapped; the kernel raises :class:`TableError` if a
+trace ever reaches one.  Protocols whose behaviour depends on per-block
+state beyond the sharing table and one annotation (admission order, coarse
+digit codes, per-cache decay counters) must not derive a table —
+``compile_table()`` returns ``None`` and the fast backend steps the
+reference pipeline instead.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from itertools import product
+from typing import Dict, List, Optional, Tuple
 
-from ..interconnect.bus import BusOp
-from .base import NO_OPS, OpList
+from ..memory.sharing import NO_OWNER, SharingTable
+from ..trace.record import AccessType
+from .base import CoherenceProtocol, OpList
 from .events import Event
 
-__all__ = [
-    "Rule",
-    "Row",
-    "InvalidationSpec",
-    "TransitionTable",
-    "TableError",
-    "compile_rules",
-    "CODE_SPACE",
-]
+__all__ = ["Row", "TransitionTable", "TableError", "derive_table", "CODE_SPACE"]
 
 #: Size of the condition-code space (9 bits, see module docstring).
 CODE_SPACE = 512
-
-# Condition-code bit layout.
-_W = 1  # write
-_FIRST = 2
-_HELD = 4
-_DIRTY_LOCAL = 8
-_DIRTY_REMOTE = 16
-_FCLASS1 = 32
-_FCLASS2 = 64
-_AUX_SELF = 128
-_AUX_OTHER = 256
 
 # State-update action flags (executed by the kernel in this order).
 ACT_CLEAR_DIRTY = 1
@@ -84,91 +73,23 @@ AUX_KEEP = 0
 AUX_CLEAR = 1
 AUX_SELF = 2
 
-_DIRTY_VALUES = ("none", "local", "remote")
-_AUX_VALUES = ("none", "self", "other")
-_MASK_ACTIONS = {"keep": 0, "add": ACT_MASK_ADD, "only": ACT_MASK_ONLY}
-_AUX_ACTIONS = {"keep": AUX_KEEP, "clear": AUX_CLEAR, "self": AUX_SELF}
+#: The kernel's sharing-state actions, in the order :func:`derive_table`
+#: tries them: no-op updates first.
+_ACTIONS = tuple(
+    clear | mask | set_dirty
+    for mask, clear, set_dirty in product(
+        (0, ACT_MASK_ADD, ACT_MASK_ONLY), (0, ACT_CLEAR_DIRTY), (0, ACT_SET_DIRTY)
+    )
+)
 
 
 class TableError(RuntimeError):
-    """A compiled table was driven into a condition no rule covers."""
-
-
-@dataclass(frozen=True)
-class InvalidationSpec:
-    """How a directory-family protocol removes ``F`` remote clean copies.
-
-    ``threshold`` bounds the directed regime: invalidations with
-    ``F <= threshold`` cost ``directed`` per copy, larger ones cost the
-    constant ``broadcast`` ops.  ``None`` means the directed regime covers
-    every ``F`` (a full-map directory); ``0`` means everything broadcasts.
-    """
-
-    threshold: Optional[int]
-    directed: OpList = NO_OPS  # per remote copy (count = coeff * F)
-    broadcast: OpList = NO_OPS  # constant ops for the F > threshold regime
-
-
-@dataclass(frozen=True)
-class Rule:
-    """One transition rule: a condition pattern plus its outcome and actions.
-
-    ``None`` (or omitted) condition fields are wildcards.  Rules are matched
-    in order, first match wins — transcribe the protocol's ``if``/``elif``
-    ladder top to bottom and the semantics carry over.
-    """
-
-    write: bool
-    event: Event
-    first: Optional[bool] = None
-    held: Optional[bool] = None
-    dirty: Union[str, Tuple[str, ...], None] = None
-    fclass: Union[int, Tuple[int, ...], None] = None
-    aux: Union[str, Tuple[str, ...], None] = None
-    ops: OpList = NO_OPS
-    per_remote: OpList = NO_OPS  # (op, coeff): count = coeff * F
-    #: splice in the table's :class:`InvalidationSpec` (directed/broadcast)
-    invalidates_remote: bool = False
-    #: record Figure 1 fan-out: ``None`` = no, ``"F"`` = the remote count
-    fanout: Optional[str] = None
-    clear_dirty: bool = False
-    mask: str = "keep"
-    set_dirty: bool = False
-    aux_action: str = "keep"
-
-    def __post_init__(self) -> None:
-        if self.mask not in _MASK_ACTIONS:
-            raise ValueError(f"bad mask action {self.mask!r}")
-        if self.aux_action not in _AUX_ACTIONS:
-            raise ValueError(f"bad aux action {self.aux_action!r}")
-        if self.fanout not in (None, "F"):
-            raise ValueError(f"bad fanout spec {self.fanout!r}")
-
-    def _matches(
-        self, first: bool, held: bool, dirty: str, fclass: int, aux: str
-    ) -> bool:
-        if self.first is not None and self.first != first:
-            return False
-        if self.held is not None and self.held != held:
-            return False
-        for want, have in (
-            (self.dirty, dirty),
-            (self.aux, aux),
-            (self.fclass, fclass),
-        ):
-            if want is None:
-                continue
-            if isinstance(want, tuple):
-                if have not in want:
-                    return False
-            elif want != have:
-                return False
-        return True
+    """A derived table was driven into a condition it does not map."""
 
 
 @dataclass(frozen=True)
 class Row:
-    """One expanded dispatch entry (pure data; the kernel never branches on
+    """One dispatch entry (pure data; the kernel never branches on
     protocol identity)."""
 
     event: Event
@@ -178,7 +99,7 @@ class Row:
     fanout: bool  # record invalidation fan-out (F; constant 0 iff fclass 0)
     actions: int  # ACT_* flags
     aux_action: int  # AUX_*
-    used_bus: bool  # compile-time constant; validated at expansion
+    used_bus: bool  # the same at every F of the class
 
     @property
     def needs_f(self) -> bool:
@@ -188,7 +109,7 @@ class Row:
 
 @dataclass
 class TransitionTable:
-    """A protocol's compiled transition function.
+    """A protocol's transition function as a lookup table.
 
     ``dispatch[code]`` is an index into ``rows`` or ``None`` for conditions
     the protocol can never reach (hitting one raises :class:`TableError`).
@@ -201,139 +122,186 @@ class TransitionTable:
     dispatch: List[Optional[int]] = field(default_factory=list)
 
 
-def _valid_condition(
-    first: bool,
-    held: bool,
-    dirty: str,
-    fclass: int,
-    aux: str,
-    has_aux: bool,
-    threshold: Optional[int],
-) -> bool:
-    """Whether the kernel's condition encoder can ever produce this combo."""
-    if first:
-        # A never-seen block has no holders, no owner, no annotations.
-        return not held and dirty == "none" and fclass == 0 and aux == "none"
-    if dirty == "local" and not held:
-        return False  # the owner is always a holder
-    if dirty == "remote" and fclass == 0:
-        return False  # a remote owner is a remote holder
-    if aux != "none" and not has_aux:
-        return False
-    if fclass == 1 and threshold == 0:
-        return False  # 1 <= F <= 0 is empty
-    if fclass == 2 and threshold is None:
-        return False  # directed regime covers every F
-    return True
+def _conditions(has_aux: bool):
+    """Every (write, first, held, dirty, fclass, aux) the encoder can emit."""
+    for write in (0, 1):
+        yield write, 1, 0, 0, 0, 0  # a never-seen block has no state at all
+    for write, held, dirty, fclass, aux in product(
+        (0, 1), (0, 1), (0, 1, 2), (0, 1, 2), (0, 1, 2) if has_aux else (0,)
+    ):
+        if dirty == 1 and not held:
+            continue  # the owner is always a holder
+        if dirty == 2 and not fclass:
+            continue  # a remote owner is a remote holder
+        yield write, 0, held, dirty, fclass, aux
 
 
-def _encode(first: bool, held: bool, dirty: str, fclass: int, aux: str, write: bool) -> int:
-    code = _W if write else 0
-    if first:
-        code |= _FIRST
-    if held:
-        code |= _HELD
-    code |= (_DIRTY_LOCAL, _DIRTY_REMOTE)[_DIRTY_VALUES.index(dirty) - 1] if dirty != "none" else 0
+def _f_values(fclass: int, threshold: Optional[int], n_caches: int) -> range:
+    """The remote-copy counts ``F`` that fall in ``fclass``."""
+    top = n_caches - 1
+    if fclass == 0:
+        return range(1)
+    if threshold is None:
+        return range(1, top + 1) if fclass == 1 else range(0)
     if fclass == 1:
-        code |= _FCLASS1
-    elif fclass == 2:
-        code |= _FCLASS2
-    if aux == "self":
-        code |= _AUX_SELF
-    elif aux == "other":
-        code |= _AUX_OTHER
-    return code
+        return range(1, min(threshold, top) + 1)
+    return range(threshold + 1, top + 1)
 
 
-def _overlapped_only(ops: Sequence[Tuple[BusOp, int]]) -> bool:
-    return all(op is BusOp.DIR_CHECK_OVERLAPPED or count <= 0 for op, count in ops)
+def _apply(actions: int, mask: int, owner: int) -> Tuple[int, int]:
+    """The kernel's sharing-state update, for requester cache 0."""
+    if actions & ACT_CLEAR_DIRTY:
+        owner = NO_OWNER
+    if actions & ACT_MASK_ADD:
+        mask |= 1
+    elif actions & ACT_MASK_ONLY:
+        mask = 1
+        if owner != 0:
+            owner = NO_OWNER
+    if actions & ACT_SET_DIRTY:
+        owner = 0
+    return mask, owner
 
 
-def compile_rules(
-    protocol_name: str,
-    rules: Sequence[Rule],
-    *,
-    invalidation: Optional[InvalidationSpec] = None,
-    has_aux: bool = False,
-) -> TransitionTable:
-    """Expand an ordered rule list into a dispatch table.
+def _split_ops(per_f: Dict[int, Dict]) -> Optional[Tuple[OpList, OpList]]:
+    """Fit each op's count as ``base + coeff * F`` over the observed ``F``
+    (consecutive integers, so the first two fix the line).
 
-    Every encoder-reachable condition is matched against the rules in order;
-    the first match supplies the row.  Conditions no rule matches stay
-    unmapped (the kernel faults if a trace reaches one — by construction
-    that means the transcription missed a protocol path).
+    Returns ``(base_ops, linear_ops)``, or ``None`` when some count is not
+    such a line with non-negative terms.
     """
-    threshold = invalidation.threshold if invalidation is not None else None
+    fs = sorted(per_f)
+    ops = list(dict.fromkeys(op for f in fs for op in per_f[f]))
+    base_ops, linear_ops = [], []
+    for op in ops:
+        counts = [per_f[f].get(op, 0) for f in fs]
+        coeff = counts[1] - counts[0] if len(fs) > 1 else 0
+        base = counts[0] - coeff * fs[0]
+        if base < 0 or coeff < 0:
+            return None
+        if any(count != base + coeff * f for f, count in zip(fs, counts)):
+            return None
+        if base:
+            base_ops.append((op, base))
+        if coeff:
+            linear_ops.append((op, coeff))
+    return tuple(base_ops), tuple(linear_ops)
+
+
+def derive_table(
+    protocol: CoherenceProtocol,
+    threshold: Optional[int] = None,
+    aux: Optional[Dict[int, int]] = None,
+) -> TransitionTable:
+    """Read ``protocol``'s transition table off its ``_read``/``_write``.
+
+    ``threshold`` is the broadcast threshold that splits the remote-copy
+    classes (``None``: one class for every ``F >= 1``).  ``aux`` is the
+    protocol's annotation dict (block -> cache), if it keeps one; it
+    becomes the table's aux column.  ``protocol`` itself is not mutated:
+    the representative states are built on a private copy with an empty
+    sharing table, an empty seen set and an empty annotation dict.
+    """
+    sharing = SharingTable()
+    seen: set = set()
+    annotations: Dict[int, int] = {}
+    memo = {id(protocol.sharing): sharing, id(protocol._seen): seen}
+    if aux is not None:
+        memo[id(aux)] = annotations
+    probe = copy.deepcopy(protocol, memo)
+    n_caches = protocol.n_caches
     table = TransitionTable(
-        protocol_name=protocol_name,
+        protocol_name=protocol.name,
         threshold=threshold,
-        has_aux=has_aux,
+        has_aux=aux is not None,
         dispatch=[None] * CODE_SPACE,
     )
-    row_index = {}
-    for write in (False, True):
-        matching = [rule for rule in rules if rule.write is write]
-        for first in (False, True):
-            for held in (False, True):
-                for dirty in _DIRTY_VALUES:
-                    for fclass in (0, 1, 2):
-                        for aux in _AUX_VALUES:
-                            if not _valid_condition(
-                                first, held, dirty, fclass, aux, has_aux, threshold
-                            ):
-                                continue
-                            rule = next(
-                                (
-                                    r
-                                    for r in matching
-                                    if r._matches(first, held, dirty, fclass, aux)
-                                ),
-                                None,
-                            )
-                            if rule is None:
-                                continue
-                            row = _expand(rule, fclass, invalidation)
-                            key = row
-                            index = row_index.get(key)
-                            if index is None:
-                                index = len(table.rows)
-                                table.rows.append(row)
-                                row_index[key] = index
-                            code = _encode(first, held, dirty, fclass, aux, write)
-                            table.dispatch[code] = index
+    row_index: Dict[Row, int] = {}
+    block = 0
+    for write, first, held, dirty, fclass, annotated in _conditions(aux is not None):
+        access = AccessType.WRITE if write else AccessType.READ
+        observed = []
+        for f in _f_values(fclass, threshold, n_caches):
+            block += 1  # a fresh block per representative state
+            if not first:
+                seen.add(block)
+            for cache in range(1 - held, f + 1):
+                sharing.add_holder(block, cache)
+            if dirty:
+                sharing.set_dirty(block, dirty - 1)
+            if annotated:
+                annotations[block] = annotated - 1
+            before = _snapshot(sharing, annotations, block)
+            try:
+                outcome = probe.access(0, access, block)
+            except (LookupError, ValueError):  # the reference rejects the state
+                observed = []
+                break
+            after = _snapshot(sharing, annotations, block)
+            observed.append((f, outcome, before, after))
+        row = _row(fclass, observed)
+        if row is None:
+            continue
+        index = row_index.setdefault(row, len(table.rows))
+        if index == len(table.rows):
+            table.rows.append(row)
+        code = write | first << 1 | held << 2 | dirty << 3 | fclass << 5
+        table.dispatch[code | annotated << 7] = index
     return table
 
 
-def _expand(rule: Rule, fclass: int, invalidation: Optional[InvalidationSpec]) -> Row:
-    base = rule.ops
-    linear = rule.per_remote
-    if rule.invalidates_remote and fclass > 0:
-        if invalidation is None:
-            raise ValueError(
-                f"rule for {rule.event} invalidates remote copies but the "
-                "table has no InvalidationSpec"
-            )
-        if fclass == 1:
-            linear = linear + invalidation.directed
-        else:
-            base = base + invalidation.broadcast
-    actions = _MASK_ACTIONS[rule.mask]
-    if rule.clear_dirty:
-        actions |= ACT_CLEAR_DIRTY
-    if rule.set_dirty:
-        actions |= ACT_SET_DIRTY
-    # used_bus is compile-time constant: linear ops contribute only when
-    # F >= 1, which is exactly fclass >= 1.
-    used_bus = not _overlapped_only(base) or (
-        fclass > 0 and not _overlapped_only(linear)
+def _snapshot(sharing: SharingTable, annotations: Dict[int, int], block: int):
+    return sharing.holders(block), sharing.dirty_owner(block), annotations.get(block)
+
+
+def _row(fclass: int, observed) -> Optional[Row]:
+    """The row reproducing every observed outcome, or ``None``."""
+    if not observed:
+        return None  # no F in this class, or the reference raised
+    head = observed[0][1]
+    fanout = head.invalidation_fanout is not None
+    per_f = {}
+    for f, outcome, _, _ in observed:
+        if (
+            outcome.event is not head.event
+            or outcome.used_bus != head.used_bus
+            or outcome.invalidation_fanout != (f if fanout else None)
+        ):
+            return None
+        counts = per_f[f] = {}
+        for op, count in outcome.ops:
+            counts[op] = counts.get(op, 0) + count
+    split = _split_ops(per_f)
+    if split is None:
+        return None
+    # The first action, and the first aux action, that reproduce every
+    # observed next state: (holder mask, dirty owner) and the annotation.
+    moves = [(before, after) for _, _, before, after in observed]
+    actions = next(
+        (
+            actions
+            for actions in _ACTIONS
+            if all(_apply(actions, *old[:2]) == new[:2] for old, new in moves)
+        ),
+        None,
     )
+    aux_action = next(
+        (
+            aux_action
+            for aux_action in (AUX_KEEP, AUX_CLEAR, AUX_SELF)
+            if all((old[2], None, 0)[aux_action] == new[2] for old, new in moves)
+        ),
+        None,
+    )
+    if actions is None or aux_action is None:
+        return None
     return Row(
-        event=rule.event,
-        base_ops=base,
-        linear_ops=linear,
+        event=head.event,
+        base_ops=split[0],
+        linear_ops=split[1],
         fclass=fclass,
-        fanout=rule.fanout == "F",
+        fanout=fanout,
         actions=actions,
-        aux_action=_AUX_ACTIONS[rule.aux_action],
-        used_bus=used_bus,
+        aux_action=aux_action,
+        used_bus=head.used_bus,
     )

@@ -36,6 +36,7 @@ budget) and :class:`~repro.runner.sweep.RunOutcome`s.
 from __future__ import annotations
 
 import heapq
+import math
 import multiprocessing
 import os
 import time
@@ -165,8 +166,8 @@ class CellExecutor:
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if timeout is not None and timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {timeout}")
+        if timeout is not None and not 0 < timeout < math.inf:
+            raise ValueError(f"timeout must be positive and finite, got {timeout}")
         self._jobs = jobs
         self._timeout = timeout
         self._faults = faults

@@ -22,6 +22,7 @@ plain upgrades both retire stale caches — results pickled by an older
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -122,8 +123,8 @@ class RunSpec:
         if self.trace not in standard_trace_names():
             known = ", ".join(standard_trace_names())
             raise ValueError(f"unknown trace {self.trace!r}; known: {known}")
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not 0 < self.scale < math.inf:  # also rejects NaN
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
         if self.n_caches <= 0:
             raise ValueError(f"n_caches must be positive, got {self.n_caches}")
         if self.block_size <= 0:

@@ -75,6 +75,7 @@ the CLI routes them to stderr.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 import traceback as traceback_module
@@ -137,9 +138,10 @@ def _resolve_heartbeat(heartbeat_seconds: Optional[float]) -> float:
                 f"{HEARTBEAT_ENV} must be a number, got {raw!r}"
             ) from None
     interval = float(heartbeat_seconds)
-    if interval < 0:
+    if not 0 <= interval < math.inf:  # NaN would silently disable heartbeats
         raise ValueError(
-            f"heartbeat interval must be >= 0 (0 disables), got {interval}"
+            f"heartbeat interval must be finite and >= 0 (0 disables), "
+            f"got {interval}"
         )
     return interval
 
@@ -503,8 +505,10 @@ def run_sweep(
         raise ValueError("at least one RunSpec is required")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if cell_timeout is not None and cell_timeout <= 0:
-        raise ValueError(f"cell_timeout must be positive, got {cell_timeout}")
+    if cell_timeout is not None and not 0 < cell_timeout < math.inf:
+        raise ValueError(
+            f"cell_timeout must be positive and finite, got {cell_timeout}"
+        )
     if max_failures is not None and max_failures < 0:
         raise ValueError(f"max_failures must be >= 0, got {max_failures}")
     if resume and journal is None:

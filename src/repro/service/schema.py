@@ -47,6 +47,7 @@ of the same grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -191,13 +192,20 @@ def _number(
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         errors.error(field, "must be a number")
         return None
-    if integer and not float(value).is_integer():
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond float range
+        number = math.inf
+    if not math.isfinite(number):  # json reads NaN and Infinity literals
+        errors.error(field, "must be a finite number")
+        return None
+    if integer and not number.is_integer():
         errors.error(field, "must be an integer")
         return None
-    if minimum is not None and value < minimum:
+    if minimum is not None and number < minimum:
         errors.error(field, f"must be >= {minimum:g}")
         return None
-    return float(value)
+    return number
 
 
 def _parse_sweep_axes(errors: _Collector, sweep: Mapping[str, object]) -> dict:

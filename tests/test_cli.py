@@ -90,6 +90,25 @@ class TestCommands:
         assert main(["--scale", "-1", "table4"]) == 2
         assert "--scale must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--scale", "nan", "table4"], "--scale must be positive and finite"),
+            (["--scale", "inf", "table4"], "--scale must be positive and finite"),
+            (
+                FAST + ["sweep", "--schemes", "dir0b", "--cell-timeout", "nan"],
+                "--cell-timeout must be positive and finite",
+            ),
+            (
+                FAST + ["sweep", "--schemes", "dir0b", "--heartbeat-seconds", "nan"],
+                "--heartbeat-seconds must be finite",
+            ),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
     def test_nonpositive_jobs_rejected(self, capsys):
         assert main(FAST + ["--jobs", "0", "table4"]) == 2
         assert "--jobs must be >= 1" in capsys.readouterr().err

@@ -498,6 +498,15 @@ class TestSweepFailureIsolation:
         with pytest.raises(ValueError, match="requires a journal"):
             run_sweep(grid(), resume=True)
 
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf")])
+    def test_non_finite_timeout_rejected(self, timeout):
+        # NaN compares false with everything, so it used to pass "<= 0" and
+        # run with no effective timeout.
+        with pytest.raises(ValueError, match="finite"):
+            run_sweep(grid(), cell_timeout=timeout)
+        with pytest.raises(ValueError, match="finite"):
+            CellExecutor(jobs=1, timeout=timeout)
+
 
 class TestJournalAndResume:
     def test_sweep_journals_every_cell(self, tmp_path):

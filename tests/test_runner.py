@@ -64,6 +64,11 @@ class TestRunSpec:
         with pytest.raises(ValueError):
             RunSpec(protocol="dir0b", trace="POPS", block_size=-4)
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
+    def test_rejects_non_finite_scale(self, scale):
+        with pytest.raises(ValueError, match="finite"):
+            RunSpec(protocol="dir0b", trace="POPS", scale=scale)
+
     def test_run_matches_direct_simulation(self):
         from repro.core import simulate
         from repro.protocols import create_protocol

@@ -111,6 +111,35 @@ class TestRoutesAndStatuses:
             )
         assert_json_error(*reply, 413)
 
+    @pytest.mark.parametrize(
+        "section, field, literal",
+        [
+            ("sweep", "scale", b"NaN"),
+            ("sweep", "scale", b"Infinity"),
+            ("sweep", "scale", b"1" + b"0" * 400),
+            ("options", "cell_timeout", b"NaN"),
+            ("options", "cell_timeout", b"Infinity"),
+        ],
+        ids=["scale-nan", "scale-inf", "scale-huge-int", "timeout-nan", "timeout-inf"],
+    )
+    def test_non_finite_number_is_422_naming_the_field(
+        self, tmp_path, section, field, literal
+    ):
+        # The stdlib's json reads NaN and Infinity as floats, and a
+        # 401-digit literal as an int no float can hold.
+        body = json.dumps(DOC).encode()[:-1]
+        if section == "sweep":
+            body = body.replace(b'"scale": 512', b'"scale": ' + literal) + b"}"
+        else:
+            body += b', "options": {"cell_timeout": ' + literal + b"}}"
+        with gated_service(tmp_path) as (_manager, handle):
+            status, headers, raw = request(handle, "POST", "/sweeps", body=body)
+        assert_json_error(status, headers, raw, 422)
+        details = json.loads(raw)["details"]
+        assert {"field": f"{section}.{field}", "error": "must be a finite number"} in (
+            details
+        )
+
     def test_unknown_route_is_404(self, tmp_path):
         with gated_service(tmp_path) as (_manager, handle):
             reply = request(handle, "GET", "/nowhere")

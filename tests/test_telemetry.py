@@ -430,6 +430,16 @@ class TestHeartbeatConfig:
         with pytest.raises(ValueError, match=">= 0"):
             _resolve_heartbeat(-1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "nan", "inf"])
+    def test_non_finite_rejected(self, monkeypatch, value):
+        # NaN compares false with everything, so it used to slip past the
+        # ">= 0" check and silently disable heartbeats.
+        if isinstance(value, str):
+            monkeypatch.setenv(HEARTBEAT_ENV, value)
+            value = None
+        with pytest.raises(ValueError, match="finite"):
+            _resolve_heartbeat(value)
+
     def test_bad_env_value_rejected(self, monkeypatch):
         monkeypatch.setenv(HEARTBEAT_ENV, "soon")
         with pytest.raises(ValueError, match=HEARTBEAT_ENV):
