@@ -9,7 +9,6 @@
 import pytest
 
 from conftest import SCALE
-from repro.core.finite import simulate_finite
 from repro.core.simulator import simulate
 from repro.memory.cache import CacheGeometry
 from repro.protocols import DiriNB, create_protocol
@@ -86,22 +85,22 @@ def test_ablation_finite_caches(benchmark, pipe_bus, save_result):
 
     def run():
         infinite = simulate(create_protocol("dir0b", 4), _pops())
-        small = simulate_finite(
+        small = simulate(
             create_protocol("dir0b", 4),
             _pops(),
-            CacheGeometry(n_sets=64, associativity=2),
+            geometry=CacheGeometry(n_sets=64, associativity=2),
         )
-        large = simulate_finite(
+        large = simulate(
             create_protocol("dir0b", 4),
             _pops(),
-            CacheGeometry(n_sets=4096, associativity=4),
+            geometry=CacheGeometry(n_sets=4096, associativity=4),
         )
         return infinite, small, large
 
     infinite, small, large = benchmark.pedantic(run, rounds=1, iterations=1)
     inf_cost = infinite.cycles_per_reference(pipe_bus)
-    small_cost = small.result.cycles_per_reference(pipe_bus)
-    large_cost = large.result.cycles_per_reference(pipe_bus)
+    small_cost = small.cycles_per_reference(pipe_bus)
+    large_cost = large.cycles_per_reference(pipe_bus)
     save_result(
         "ablation_finite_caches",
         "Finite caches (Dir0B on POPS, pipelined):\n"

@@ -22,7 +22,6 @@ from repro import (
     collect_stats,
     pipelined_bus,
     simulate,
-    simulate_finite,
 )
 from repro.protocols import create_protocol
 from repro.trace.atum import read_binary, write_binary
@@ -79,15 +78,15 @@ def main() -> None:
     print(f"{'scheme':<10} {'infinite':>10} {'64x2 finite':>12} {'evictions':>10}")
     for scheme in ("dir0b", "dirnnb", "dragon", "wti"):
         infinite = simulate(create_protocol(scheme, 8), iter(reloaded))
-        finite = simulate_finite(
+        finite = simulate(
             create_protocol(scheme, 8),
             iter(reloaded),
-            CacheGeometry(n_sets=64, associativity=2),
+            geometry=CacheGeometry(n_sets=64, associativity=2),
         )
         print(
             f"{scheme:<10} "
             f"{infinite.cycles_per_reference(bus):>10.4f} "
-            f"{finite.result.cycles_per_reference(bus):>12.4f} "
+            f"{finite.cycles_per_reference(bus):>12.4f} "
             f"{finite.evictions:>10}"
         )
     print(

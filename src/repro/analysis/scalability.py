@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
-from ..core.simulator import SimulationResult, simulate
+from ..core.comparison import run_comparison
+from ..core.simulator import SimulationResult
 from ..interconnect.bus import BusCostModel, BusOp
 from ..protocols.directory.coarse import DirCoarse
 from ..protocols.directory.dir0b import Dir0B
@@ -107,31 +108,37 @@ class PointerSweepPoint:
 
 
 def _average_over_traces(
-    make_protocol: Callable[[], object],
+    scheme: str,
+    make_protocol: Callable[[int], object],
     trace_factories: Mapping[str, TraceFactory],
+    n_caches: int,
     bus: BusCostModel,
 ):
     """Run one protocol config over all traces; return averaged measures."""
-    cycles: List[float] = []
-    miss: List[float] = []
-    broadcasts: List[float] = []
-    displacements: List[float] = []
-    for trace_name, factory in trace_factories.items():
-        protocol = make_protocol()
-        result = simulate(protocol, factory(), trace_name=trace_name)
-        cycles.append(result.cycles_per_reference(bus))
-        miss.append(result.frequencies().data_miss_rate)
-        broadcasts.append(
-            1000.0 * result.counters.ops.rate(BusOp.BROADCAST_INVALIDATE)
-        )
-        displaced = getattr(protocol, "displacements", 0)
-        displacements.append(1000.0 * displaced / result.references)
-    n = len(cycles)
+    built: List[object] = []  # kept to read DiriNB's displacements afterwards
+
+    def keep(name: str, caches: int) -> object:
+        built.append(make_protocol(caches))
+        return built[-1]
+
+    comparison = run_comparison(
+        (scheme,), trace_factories, n_caches, protocol_factory=keep
+    )
+    results = [comparison.result(scheme, name) for name in comparison.traces]
+    n = len(results)
     return (
-        sum(cycles) / n,
-        sum(miss) / n,
-        sum(broadcasts) / n,
-        sum(displacements) / n,
+        sum(r.cycles_per_reference(bus) for r in results) / n,
+        sum(r.frequencies().data_miss_rate for r in results) / n,
+        sum(
+            1000.0 * r.counters.ops.rate(BusOp.BROADCAST_INVALIDATE)
+            for r in results
+        )
+        / n,
+        sum(
+            1000.0 * getattr(protocol, "displacements", 0) / r.references
+            for protocol, r in zip(built, results)
+        )
+        / n,
     )
 
 
@@ -146,8 +153,10 @@ def sweep_dirib(
     points = []
     for pointers in pointer_counts:
         cycles, miss, broadcasts, _ = _average_over_traces(
-            lambda pointers=pointers: DiriB(n_caches, pointers=pointers),
+            "DiriB",
+            lambda caches, pointers=pointers: DiriB(caches, pointers=pointers),
             trace_factories,
+            n_caches,
             bus,
         )
         points.append(
@@ -178,10 +187,12 @@ def sweep_dirinb(
     points = []
     for pointers in pointer_counts:
         cycles, miss, _, displaced = _average_over_traces(
-            lambda pointers=pointers: DiriNB(
-                n_caches, pointers=pointers, eviction=eviction
+            "DiriNB",
+            lambda caches, pointers=pointers: DiriNB(
+                caches, pointers=pointers, eviction=eviction
             ),
             trace_factories,
+            n_caches,
             bus,
         )
         points.append(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from ..core.invalidation import InvalidationHistogram
-from ..core.simulator import simulate
+from ..core.comparison import run_comparison
 from ..interconnect.bus import BusCostModel, BusOp
 from ..protocols.base import CoherenceProtocol
 from ..protocols.directory.dir0b import Dir0B
@@ -81,6 +81,10 @@ def scale_profile_to_processors(
     )
 
 
+#: Comparison key of the one scheme a scaling sweep runs per machine size.
+_SCHEME = "scheme"
+
+
 def _sweep(
     base_profile: WorkloadProfile,
     processor_counts: Sequence[int],
@@ -90,12 +94,13 @@ def _sweep(
     points = []
     for n in processor_counts:
         profile = scale_profile_to_processors(base_profile, n)
-        protocol = make_protocol(n)
-        result = simulate(
-            protocol,
-            SyntheticWorkload(profile).records(),
-            trace_name=f"{profile.name}@{n}",
-        )
+        trace_name = f"{profile.name}@{n}"
+        result = run_comparison(
+            (_SCHEME,),
+            {trace_name: SyntheticWorkload(profile).records},
+            n,
+            protocol_factory=lambda name, caches: make_protocol(caches),
+        ).result(_SCHEME, trace_name)
         histogram: InvalidationHistogram = result.invalidation_histogram
         points.append(
             ScalingPoint(

@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence
 
-from ..core.simulator import simulate
+from ..core.comparison import run_comparison
 from ..interconnect.bus import BusCostModel
-from ..protocols.registry import create_protocol
 from ..trace.record import TraceRecord
 from ..trace.stream import exclude_lock_spins
 from ._defaults import _default_bus
@@ -64,29 +63,31 @@ def spin_lock_impact(
     lock-test-excluded run normalised to the unfiltered reference count.
     """
     bus = _default_bus(bus)
+    baseline = run_comparison(schemes, trace_factories, n_caches)
+    filtered = run_comparison(
+        schemes,
+        {
+            f"{trace_name} (no lock tests)": (
+                lambda factory=factory: exclude_lock_spins(factory())
+            )
+            for trace_name, factory in trace_factories.items()
+        },
+        n_caches,
+    )
     results: Dict[str, SpinLockImpact] = {}
     for scheme in schemes:
         with_spins = []
         without_spins = []
-        label = scheme
-        for trace_name, factory in trace_factories.items():
-            baseline = simulate(
-                create_protocol(scheme, n_caches), factory(), trace_name=trace_name
-            )
-            label = baseline.protocol_label
-            original_refs = baseline.references
-            with_spins.append(baseline.cycles_per_reference(bus))
-            filtered = simulate(
-                create_protocol(scheme, n_caches),
-                exclude_lock_spins(factory()),
-                trace_name=f"{trace_name} (no lock tests)",
-            )
+        for trace_name, filtered_name in zip(baseline.traces, filtered.traces):
+            full = baseline.result(scheme, trace_name)
+            spinless = filtered.result(scheme, filtered_name)
+            with_spins.append(full.cycles_per_reference(bus))
             # Charge the filtered run's total cycles against the original
             # reference count (see the module docstring).
-            cycles = filtered.cycles_per_reference(bus) * filtered.references
-            without_spins.append(cycles / original_refs)
+            cycles = spinless.cycles_per_reference(bus) * spinless.references
+            without_spins.append(cycles / full.references)
         results[scheme] = SpinLockImpact(
-            scheme=label,
+            scheme=full.protocol_label,
             with_spins=sum(with_spins) / len(with_spins),
             without_spins=sum(without_spins) / len(without_spins),
         )

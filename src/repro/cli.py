@@ -931,6 +931,11 @@ def _cmd_finite(args: argparse.Namespace) -> None:
 
 
 def _cmd_profile(args: argparse.Namespace) -> None:
+    if args.backend != "reference":
+        raise UsageError(
+            "profile times the reference pipeline's stages; --backend "
+            f"{args.backend} is not supported here (use --backend reference)"
+        )
     registry = MetricsRegistry()
     first = True
     for protocol in args.protocols:
@@ -941,7 +946,6 @@ def _cmd_profile(args: argparse.Namespace) -> None:
                 scale=_scale(args),
                 n_caches=args.n_caches,
                 geometry=args.geometry,
-                backend=_backend(args),
             )
             report = profile_spec(spec, registry=registry)
             if not first:

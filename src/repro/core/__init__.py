@@ -2,7 +2,6 @@
 
 from .comparison import ComparisonResult, run_comparison, run_standard_comparison
 from .counters import EventFrequencies, SimulationCounters
-from .finite import FiniteCacheResult, simulate_finite
 from .invalidation import InvalidationHistogram
 from .modelcheck import ModelCheckReport, model_check
 from .oracle import (
@@ -41,8 +40,6 @@ __all__ = [
     "run_standard_comparison",
     "EventFrequencies",
     "SimulationCounters",
-    "FiniteCacheResult",
-    "simulate_finite",
     "InvalidationHistogram",
     "ModelCheckReport",
     "model_check",

@@ -21,7 +21,7 @@ from ..interconnect.bus import BusCostModel, Table5Category
 from ..protocols.registry import PAPER_CORE_SCHEMES, create_protocol
 from ..trace.record import TraceRecord
 from ..trace.stream import SharingModel
-from ..trace.workloads import DEFAULT_SCALE, standard_trace, standard_trace_names
+from ..trace.workloads import DEFAULT_SCALE
 from .invalidation import InvalidationHistogram
 from .simulator import SimulationResult, simulate
 
@@ -160,20 +160,15 @@ def run_standard_comparison(
 ) -> ComparisonResult:
     """The paper's evaluation: the named schemes over POPS, THOR and PERO.
 
-    ``jobs`` fans the (protocol, trace) grid across worker processes and
-    ``cache_dir`` serves repeat cells from the on-disk result cache — both
-    via :mod:`repro.runner`, with results bit-identical to the serial path.
+    The grid runs through :func:`~repro.runner.sweep.run_sweep`: ``jobs``
+    fans the (protocol, trace) cells across worker processes (``jobs=1``
+    runs them inline) and ``cache_dir`` serves repeat cells from the
+    on-disk result cache; results are bit-identical either way.
     """
-    if jobs != 1 or cache_dir is not None:
-        from ..runner.cache import ResultCache
-        from ..runner.spec import sweep_grid
-        from ..runner.sweep import run_sweep
+    from ..runner.cache import ResultCache
+    from ..runner.spec import sweep_grid
+    from ..runner.sweep import run_sweep
 
-        specs = sweep_grid(protocol_names, scale=scale, n_caches=n_caches)
-        cache = ResultCache(cache_dir) if cache_dir is not None else None
-        return run_sweep(specs, jobs=jobs, cache=cache).comparison()
-    factories: Dict[str, TraceFactory] = {
-        name: (lambda name=name: standard_trace(name, scale=scale))
-        for name in standard_trace_names()
-    }
-    return run_comparison(protocol_names, factories, n_caches=n_caches)
+    specs = sweep_grid(protocol_names, scale=scale, n_caches=n_caches)
+    cache = ResultCache(cache_dir) if cache_dir is not None else None
+    return run_sweep(specs, jobs=jobs, cache=cache).comparison()

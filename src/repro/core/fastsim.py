@@ -48,7 +48,7 @@ decode time, i.e. potentially a few thousand references earlier.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 try:  # NumPy is an optional extra (pip install repro[fast])
     import numpy as _np
@@ -75,7 +75,6 @@ from .pipeline import (
     GeometryStage,
     InfinitePassthrough,
     ReferencePipeline,
-    SimulationResult,
 )
 
 __all__ = ["FastPipeline", "HAS_NUMPY", "BATCH_SIZE"]
@@ -135,11 +134,14 @@ class FastPipeline:
         self.sharing_model = sharing_model
         if table is not None:
             # The inner reference pipeline only owns the sharing-unit
-            # registry (and packages results); it never steps a reference.
+            # registry; it never steps a reference.
             self._ref = ReferencePipeline(
                 protocol, block_size=block_size, sharing_model=sharing_model
             )
             self._table = table
+            self._geometry_spec = (
+                self._geometry.spec if self._geometry is not None else None
+            )
             self._init_kernel()
         else:
             self._ref = ReferencePipeline(
@@ -153,6 +155,7 @@ class FastPipeline:
                 probe=probe,
             )
             self._table = None
+            self._geometry_spec = self._ref._geometry_spec
         self.oracle = self._ref.oracle
 
     @property
@@ -548,44 +551,8 @@ class FastPipeline:
 
     # -- run wrappers ----------------------------------------------------------
 
-    def run(
-        self, trace: Iterable[TraceRecord], trace_name: str = "trace"
-    ) -> SimulationResult:
-        """Feed the whole trace and package the tallied result."""
-        counters = SimulationCounters()
-        self.feed(trace, counters)
-        return self.result(trace_name, counters)
-
-    def run_chunks(
-        self,
-        chunks: Iterable[Iterable[TraceRecord]],
-        trace_name: str = "trace",
-        chunk_done: Optional[Callable[[SimulationCounters], None]] = None,
-    ) -> SimulationResult:
-        """Feed a trace supplied as consecutive chunks, merging exactly."""
-        merged = SimulationCounters()
-        for chunk in chunks:
-            counters = SimulationCounters()
-            self.feed(chunk, counters)
-            merged.merge(counters)
-            if chunk_done is not None:
-                chunk_done(counters)
-        return self.result(trace_name, merged)
-
-    def result(
-        self, trace_name: str, counters: SimulationCounters
-    ) -> SimulationResult:
-        """Package ``counters`` as this pipeline's :class:`SimulationResult`."""
-        if self._table is None:
-            return self._ref.result(trace_name, counters)
-        geometry = self._geometry
-        return SimulationResult(
-            protocol_name=self.protocol.name,
-            protocol_label=self.protocol.label,
-            trace_name=trace_name,
-            counters=counters,
-            n_caches=self.protocol.n_caches,
-            block_size=self.block_size,
-            sharing_model=self.sharing_model,
-            geometry=geometry.spec if geometry is not None else None,
-        )
+    # Shared with the reference pipeline: they only call ``feed`` and read
+    # the protocol, block size, sharing model and ``_geometry_spec``.
+    run = ReferencePipeline.run
+    run_chunks = ReferencePipeline.run_chunks
+    result = ReferencePipeline.result

@@ -20,10 +20,9 @@ is that pipeline, composable and reused verbatim by every execution mode:
 Stages compose: a chunked finite run, or an oracle-checked finite run, is
 just a pipeline with both options set.  The *only* reference-feed loop in
 the package lives in :meth:`ReferencePipeline.feed`; everything else —
-``simulate``, ``simulate_chunks``, ``simulate_finite``,
-``validate_coherence``, ``model_check`` — is a wrapper over it, so a new
-scenario (policy, geometry, workload) is one pipeline stage instead of a
-fourth copy of the loop.
+``simulate``, ``simulate_chunks``, ``validate_coherence``, ``model_check``
+— is a wrapper over it, so a new scenario (policy, geometry, workload) is
+one pipeline stage instead of a fourth copy of the loop.
 """
 
 from __future__ import annotations
@@ -84,6 +83,13 @@ class SimulationResult:
     @property
     def dirty_evictions(self) -> int:
         return self.counters.dirty_evictions
+
+    @property
+    def eviction_rate(self) -> float:
+        """Evictions per reference."""
+        if self.references == 0:
+            return 0.0
+        return self.evictions / self.references
 
     def frequencies(self) -> EventFrequencies:
         """Event rates in percent of all references (Table 4 column)."""
@@ -256,6 +262,7 @@ class ReferencePipeline:
             self.oracle.access if self.oracle is not None else protocol.access
         )
         self._stage = stage
+        self._geometry_spec = stage.spec if stage is not None else None
         self._probe = probe
         self._units: dict = {}
         self._by_process = sharing_model is SharingModel.PROCESS
@@ -381,7 +388,6 @@ class ReferencePipeline:
         self, trace_name: str, counters: SimulationCounters
     ) -> SimulationResult:
         """Package ``counters`` as this pipeline's :class:`SimulationResult`."""
-        stage = self._stage
         return SimulationResult(
             protocol_name=self.protocol.name,
             protocol_label=self.protocol.label,
@@ -390,5 +396,5 @@ class ReferencePipeline:
             n_caches=self.protocol.n_caches,
             block_size=self.block_size,
             sharing_model=self.sharing_model,
-            geometry=stage.spec if stage is not None else None,
+            geometry=self._geometry_spec,
         )

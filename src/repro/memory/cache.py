@@ -8,7 +8,8 @@ that directly.
 :class:`FiniteCache` is the library's extension beyond the paper: a
 set-associative LRU cache that lets users estimate the "finite cache size"
 correction the paper says can be added to first order (Section 4).  The
-finite-cache simulator in :mod:`repro.core.finite` uses it to inject
+reference pipeline's set-associative LRU stage
+(:class:`~repro.core.pipeline.SetAssociativeLRU`) uses it to inject
 capacity/conflict evictions into any protocol.
 """
 

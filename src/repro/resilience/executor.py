@@ -28,6 +28,11 @@ span and returns them serialised alongside the delta.  Both ride on
 success *and* failure events, so a retried attempt's telemetry survives
 the retry.
 
+One attempt — fire the fault plan, run the spec, time it, record its
+attempt/stage spans and collect its manifest — is :func:`run_attempt`,
+which the sweep's inline path calls as well, so a cell attempt is written
+once whether it runs here or in the parent.
+
 Events are raw tuples; the sweep loop turns them into
 :class:`~repro.resilience.errors.RunError`s (which know the attempt
 budget) and :class:`~repro.runner.sweep.RunOutcome`s.
@@ -41,6 +46,7 @@ import multiprocessing
 import os
 import time
 import traceback
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
 from multiprocessing.connection import wait as wait_connections
@@ -50,34 +56,93 @@ from ..obs.manifest import collect_manifest
 from ..obs.metrics import MetricsRegistry, set_registry
 from ..obs.telemetry import SpanRecorder
 
-__all__ = ["CellEvent", "CellExecutor"]
+__all__ = ["CellEvent", "CellExecutor", "run_attempt"]
 
 #: Upper bound on one poll's blocking wait; keeps timeouts responsive.
 POLL_SECONDS = 0.05
 
 
+def run_attempt(
+    spec,
+    attempt: int,
+    faults=None,
+    recorder: Optional[SpanRecorder] = None,
+    parent=None,
+    tid: int = 0,
+    probe=None,
+    allow_kill: bool = True,
+) -> Tuple:
+    """One cell attempt, in a worker process or inline in the sweep's own.
+
+    Fires the fault plan's worker faults for (cell, ``attempt``), runs
+    ``spec.run(probe=probe)``, times it and collects the run manifest.
+    With a ``recorder`` the attempt records an ``attempt`` span under
+    ``parent`` holding ``simulate`` and ``report`` stage spans.
+
+    Returns the message the executor's result pipe carries, before its
+    telemetry fields: ``("ok", result, elapsed, pid, manifest)``, or
+    ``("error", exc_type, message, traceback, pid, elapsed)`` when the
+    attempt raised an ``Exception``.  Anything else (an interrupt) closes
+    the span and propagates.
+    """
+    pid = os.getpid()
+    cell = spec.cell_id()
+    span = None
+    if recorder is not None:
+        span = recorder.begin(
+            f"attempt {attempt}", kind="attempt", parent=parent, tid=tid,
+            attempt=attempt, cell=cell,
+        )
+
+    def stage(name: str):
+        if recorder is None:
+            return nullcontext()
+        return recorder.span(name, kind="stage", parent=span, tid=tid)
+
+    start = time.perf_counter()
+    try:
+        if faults is not None:
+            faults.fire_worker_faults(cell, attempt, allow_kill=allow_kill)
+        with stage("simulate"):
+            result = spec.run(probe=probe)
+        elapsed = time.perf_counter() - start
+        with stage("report"):
+            manifest = collect_manifest(
+                spec.as_dict(), spec.cache_key(), elapsed, worker_pid=pid
+            )
+    except Exception as exc:  # noqa: BLE001 - a failed attempt is an event
+        elapsed = time.perf_counter() - start
+        if span is not None:
+            span.end(status="error", error=type(exc).__name__)
+        return (
+            "error", type(exc).__name__, str(exc), traceback.format_exc(),
+            pid, elapsed,
+        )
+    except BaseException:
+        if span is not None:
+            span.end(status="interrupted")
+        raise
+    if span is not None:
+        span.end(status="ok")
+    return ("ok", result, elapsed, pid, manifest)
+
+
 def _cell_worker(
     conn: Connection, spec, attempt: int, faults, span_context=None
 ) -> None:
-    """Child entry point: fire injected faults, simulate, report on the pipe.
+    """Child entry point: run one attempt and report it on the pipe.
 
     The attempt runs against a fresh process-wide registry, whose snapshot
     travels back as the event's metrics delta; with a ``span_context``
     the attempt also records its span subtree (attempt → stages) for the
     parent to ingest.
     """
-    pid = os.getpid()
     registry = MetricsRegistry()
     set_registry(registry)
-    recorder = None
-    attempt_span = None
+    recorder = parent = None
     if span_context is not None:
-        trace_id, parent_span_id = span_context
+        trace_id, parent = span_context
         recorder = SpanRecorder(trace_id=trace_id)
-        attempt_span = recorder.begin(
-            f"attempt {attempt}", kind="attempt", parent=parent_span_id,
-            attempt=attempt, cell=spec.cell_id(),
-        )
     start = time.perf_counter()
 
     def _telemetry() -> Tuple[Optional[dict], List[dict]]:
@@ -87,34 +152,12 @@ def _cell_worker(
         return delta, recorder.serialized() if recorder is not None else []
 
     try:
-        if faults is not None:
-            faults.fire_worker_faults(spec.cell_id(), attempt)
-        if recorder is not None:
-            with recorder.span("simulate", kind="stage", parent=attempt_span):
-                result = spec.run()
-        else:
-            result = spec.run()
-        elapsed = time.perf_counter() - start
-        if recorder is not None:
-            with recorder.span("report", kind="stage", parent=attempt_span):
-                manifest = collect_manifest(
-                    spec.as_dict(), spec.cache_key(), elapsed, worker_pid=pid
-                )
-            attempt_span.end(status="ok")
-        else:
-            manifest = collect_manifest(
-                spec.as_dict(), spec.cache_key(), elapsed, worker_pid=pid
-            )
-        delta, spans = _telemetry()
-        conn.send(("ok", result, elapsed, pid, manifest, delta, spans))
+        message = run_attempt(spec, attempt, faults, recorder, parent)
+        conn.send(message + _telemetry())
     except BaseException as exc:  # noqa: BLE001 - everything becomes an event
-        elapsed = time.perf_counter() - start
-        if attempt_span is not None:
-            attempt_span.end(status="error", error=type(exc).__name__)
-        delta, spans = _telemetry()
         conn.send(
-            ("error", type(exc).__name__, str(exc),
-             traceback.format_exc(), pid, elapsed, delta, spans)
+            ("error", type(exc).__name__, str(exc), traceback.format_exc(),
+             os.getpid(), time.perf_counter() - start) + _telemetry()
         )
     finally:
         conn.close()

@@ -78,7 +78,6 @@ from __future__ import annotations
 import math
 import os
 import time
-import traceback as traceback_module
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -92,7 +91,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.probe import ReferenceProbe
 from ..obs.telemetry import SpanRecorder, write_status
 from ..resilience.errors import CellFailure, RunError, SweepInterrupted
-from ..resilience.executor import CellExecutor
+from ..resilience.executor import CellExecutor, run_attempt
 from ..resilience.journal import JOURNAL_SUFFIX, SweepJournal
 from ..resilience.retry import RetryPolicy
 from .cache import ResultCache
@@ -1011,52 +1010,21 @@ def run_sweep(
             attempt = 1
             cell_span = _begin_cell_span(index)
             while True:
-                probe = probe_factory(specs[index]) if probed else None
-                attempt_span = (
-                    telemetry.begin(
-                        f"attempt {attempt}", kind="attempt", parent=cell_span,
-                        tid=index + 1, attempt=attempt, cell=cell_ids[index],
-                    )
-                    if telemetry is not None
-                    else None
+                message = run_attempt(
+                    specs[index], attempt, faults, telemetry, cell_span,
+                    tid=index + 1,
+                    probe=probe_factory(specs[index]) if probed else None,
+                    allow_kill=False,
                 )
-                start = time.perf_counter()
-                try:
-                    if faults is not None:
-                        faults.fire_worker_faults(
-                            cell_ids[index], attempt, allow_kill=False
-                        )
-                    result = specs[index].run(probe=probe)
-                except KeyboardInterrupt:
-                    if attempt_span is not None:
-                        attempt_span.end(status="interrupted")
-                    raise
-                except Exception as exc:
-                    elapsed = time.perf_counter() - start
-                    if attempt_span is not None:
-                        attempt_span.end(
-                            status="error", error=type(exc).__name__
-                        )
-                    delay = _retry_or_fail(
-                        index, attempt, "exception", type(exc).__name__,
-                        str(exc), traceback_module.format_exc(),
-                        os.getpid(), elapsed,
-                    )
-                    if delay is None:
-                        break
-                    time.sleep(delay)
-                    attempt += 1
-                    continue
-                elapsed = time.perf_counter() - start
-                if attempt_span is not None:
-                    attempt_span.end(status="ok")
-                manifest = collect_manifest(
-                    specs[index].as_dict(), keys[index], elapsed
-                )
-                _complete(
-                    index, (result, elapsed, os.getpid(), manifest), attempt
-                )
-                break
+                if message[0] == "ok":
+                    _complete(index, message[1:], attempt)
+                    break
+                # (exc_type, message, traceback, pid, elapsed)
+                delay = _retry_or_fail(index, attempt, "exception", *message[1:])
+                if delay is None:
+                    break
+                time.sleep(delay)
+                attempt += 1
 
     def _run_executor() -> None:
         nonlocal executor

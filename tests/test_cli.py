@@ -417,6 +417,14 @@ class TestObservability:
         # Two runs accumulated into one registry.
         assert payload["timers"]["profile.wall"]["count"] == 2
 
+    def test_profile_rejects_the_fast_backend(self, capsys):
+        """profile times the reference loop only; asking for the fast
+        backend is a usage error, not a silently different measurement."""
+        assert main(FAST + ["--backend", "fast", "profile"]) == 2
+        captured = capsys.readouterr()
+        assert "--backend" in captured.err
+        assert "Pipeline profile" not in captured.out
+
     def test_profile_accepts_schemes_alias(self):
         args = build_parser().parse_args(["profile", "--schemes", "wti"])
         assert args.protocols == ["wti"]

@@ -3,6 +3,8 @@
 import pytest
 
 from conftest import trace_of
+from repro.analysis.scalability import sweep_dirib, sweep_dirinb
+from repro.analysis.spinlock import spin_lock_impact
 from repro.core.comparison import run_comparison, run_standard_comparison
 from repro.interconnect.bus import Table5Category, pipelined_bus
 
@@ -68,6 +70,15 @@ class TestRunComparison:
             protocol_factory=lambda name, n: DiriNB(n, pointers=2),
         )
         assert comparison.result("anything", "A").protocol_name == "dirinb"
+
+
+@pytest.mark.parametrize(
+    "analysis", [spin_lock_impact, sweep_dirib, sweep_dirinb]
+)
+def test_analyses_reject_an_empty_trace_mapping(analysis):
+    """No traces is a usage error, as in run_comparison, not a division by 0."""
+    with pytest.raises(ValueError, match="at least one trace is required"):
+        analysis({})
 
 
 class TestStandardComparison:

@@ -3,7 +3,6 @@
 import pytest
 
 from conftest import trace_of
-from repro.core.finite import simulate_finite
 from repro.core.simulator import simulate
 from repro.interconnect.bus import BusOp, pipelined_bus
 from repro.memory.cache import CacheGeometry
@@ -15,52 +14,52 @@ from repro.trace.workloads import standard_trace
 class TestFiniteSimulation:
     def test_large_cache_matches_infinite(self, tiny_trace):
         geometry = CacheGeometry(n_sets=1024, associativity=4)
-        finite = simulate_finite(
-            create_protocol("dir0b", 4), tiny_trace, geometry
+        finite = simulate(
+            create_protocol("dir0b", 4), tiny_trace, geometry=geometry
         )
         infinite = simulate(create_protocol("dir0b", 4), tiny_trace)
         assert finite.evictions == 0
-        assert finite.result.counters.events == infinite.counters.events
+        assert finite.counters.events == infinite.counters.events
 
     def test_tiny_cache_evicts(self):
         # One set, one way: every new block displaces the previous one.
         trace = trace_of([(0, "r", 16 * i) for i in range(8)])
         geometry = CacheGeometry(n_sets=1, associativity=1)
-        finite = simulate_finite(create_protocol("dir0b", 4), trace, geometry)
+        finite = simulate(create_protocol("dir0b", 4), trace, geometry=geometry)
         assert finite.evictions == 7
         assert finite.eviction_rate == pytest.approx(7 / 8)
 
     def test_dirty_eviction_writes_back(self):
         trace = trace_of([(0, "w", 0), (0, "w", 16)])
         geometry = CacheGeometry(n_sets=1, associativity=1)
-        finite = simulate_finite(create_protocol("dir0b", 4), trace, geometry)
+        finite = simulate(create_protocol("dir0b", 4), trace, geometry=geometry)
         assert finite.dirty_evictions == 1
-        assert finite.result.counters.ops.ops[BusOp.WRITE_BACK] == 1
+        assert finite.counters.ops.ops[BusOp.WRITE_BACK] == 1
 
     def test_capacity_misses_appear_as_refetches(self):
         # Re-reading an evicted block misses again (it would hit with an
         # infinite cache).
         trace = trace_of([(0, "r", 0), (0, "r", 16), (0, "r", 0)])
         geometry = CacheGeometry(n_sets=1, associativity=1)
-        finite = simulate_finite(create_protocol("dir0b", 4), trace, geometry)
-        counters = finite.result.counters
+        finite = simulate(create_protocol("dir0b", 4), trace, geometry=geometry)
+        counters = finite.counters
         assert counters.event_count(Event.RM_UNCACHED) == 1
 
     def test_coherence_invalidations_mirrored_into_finite_caches(self):
         trace = trace_of([(0, "r", 0), (1, "w", 0), (0, "r", 0)])
         geometry = CacheGeometry(n_sets=4, associativity=2)
-        finite = simulate_finite(create_protocol("dir0b", 4), trace, geometry)
+        finite = simulate(create_protocol("dir0b", 4), trace, geometry=geometry)
         # Cache 0's copy was invalidated by cache 1's write, so the final
         # read is a coherence miss, not a hit.
-        assert finite.result.counters.event_count(Event.RM_BLK_DIRTY) == 1
+        assert finite.counters.event_count(Event.RM_BLK_DIRTY) == 1
 
     def test_too_many_units_rejected(self):
         trace = trace_of([(c, "r", 0) for c in range(5)])
         with pytest.raises(ValueError, match="sharing units"):
-            simulate_finite(
+            simulate(
                 create_protocol("dir0b", 4),
                 trace,
-                CacheGeometry(n_sets=4, associativity=1),
+                geometry=CacheGeometry(n_sets=4, associativity=1),
             )
 
     def test_paper_footnote_fewer_coherence_misses_in_finite_caches(self):
@@ -69,27 +68,27 @@ class TestFiniteSimulation:
         reappear as capacity misses instead)."""
         factory = lambda: standard_trace("POPS", scale=1 / 256)  # noqa: E731
         infinite = simulate(create_protocol("dir0b", 4), factory())
-        finite = simulate_finite(
+        finite = simulate(
             create_protocol("dir0b", 4),
             factory(),
-            CacheGeometry(n_sets=16, associativity=1),
+            geometry=CacheGeometry(n_sets=16, associativity=1),
         )
         coherence_events = (Event.RM_BLK_DIRTY, Event.WM_BLK_DIRTY)
         infinite_coherence = sum(
             infinite.counters.event_count(e) for e in coherence_events
         )
         finite_coherence = sum(
-            finite.result.counters.event_count(e) for e in coherence_events
+            finite.counters.event_count(e) for e in coherence_events
         )
-        total_finite_misses = finite.result.frequencies().data_miss_rate
+        total_finite_misses = finite.frequencies().data_miss_rate
         total_infinite_misses = infinite.frequencies().data_miss_rate
         assert total_finite_misses >= total_infinite_misses  # capacity misses
         assert finite_coherence <= infinite_coherence * 1.2
 
     def test_cost_summary_still_works(self, tiny_trace):
-        finite = simulate_finite(
+        finite = simulate(
             create_protocol("wti", 4),
             tiny_trace,
-            CacheGeometry(n_sets=2, associativity=1),
+            geometry=CacheGeometry(n_sets=2, associativity=1),
         )
-        assert finite.result.cost_summary(pipelined_bus()).cycles_per_reference > 0
+        assert finite.cost_summary(pipelined_bus()).cycles_per_reference > 0

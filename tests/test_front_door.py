@@ -1,0 +1,102 @@
+"""Guard: one front door for simulation.
+
+Every simulation in ``src/repro`` goes through ``simulate()``, reached
+either through ``RunSpec.run()`` (grids, sweeps, the service) or through
+``run_comparison`` (caller-supplied traces: the analyses).  The reference
+pipeline is built only by the core engine and the stage profiler.  These
+checks read the source's syntax tree, so a new private feed loop fails here
+rather than drifting from the sweep engine unnoticed.
+"""
+
+from __future__ import annotations
+
+import ast
+import functools
+from pathlib import Path
+from typing import Dict, List
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+#: The only modules allowed to call ``simulate(...)``.
+SIMULATE_CALLERS = {"runner/spec.py", "core/comparison.py"}
+
+
+@functools.lru_cache(maxsize=None)
+def _trees() -> Dict[str, ast.AST]:
+    return {
+        path.relative_to(SRC).as_posix(): ast.parse(path.read_text("utf-8"))
+        for path in sorted(SRC.rglob("*.py"))
+    }
+
+
+def _called_name(call: ast.Call) -> str:
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return ""
+
+
+def _callers_of(name: str) -> List[str]:
+    return sorted(
+        {
+            module
+            for module, tree in _trees().items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _called_name(node) == name
+        }
+    )
+
+
+def _function(module: str, name: str) -> ast.FunctionDef:
+    tree = _trees()[module]
+    return next(
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    )
+
+
+def test_simulate_is_called_only_from_the_two_drivers():
+    callers = _callers_of("simulate")
+    assert set(callers) <= SIMULATE_CALLERS, callers
+    assert set(callers) == SIMULATE_CALLERS
+
+
+def test_reference_pipeline_is_built_only_by_the_core_and_the_profiler():
+    builders = _callers_of("ReferencePipeline")
+    strays = [
+        module
+        for module in builders
+        if not module.startswith("core/") and module != "obs/profile.py"
+    ]
+    assert not strays, strays
+
+
+def test_the_finite_wrapper_is_gone():
+    assert not (SRC / "core" / "finite.py").exists()
+
+
+def test_standard_comparison_has_one_code_path():
+    body = _function("core/comparison.py", "run_standard_comparison")
+    assert not [node for node in ast.walk(body) if isinstance(node, ast.If)]
+    assert "run_comparison" not in {
+        _called_name(node) for node in ast.walk(body) if isinstance(node, ast.Call)
+    }
+
+
+def test_inline_and_worker_attempts_share_one_function():
+    for module, function in (
+        ("runner/sweep.py", "_run_inline"),
+        ("resilience/executor.py", "_cell_worker"),
+    ):
+        calls = {
+            _called_name(node)
+            for node in ast.walk(_function(module, function))
+            if isinstance(node, ast.Call)
+        }
+        assert "run_attempt" in calls, f"{module}:{function}"
+        assert not {"run", "fire_worker_faults", "collect_manifest"} & calls, (
+            f"{module}:{function} re-implements part of an attempt"
+        )

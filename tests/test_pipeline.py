@@ -142,23 +142,11 @@ class TestWrappersShareTheEngine:
         assert wrapped.counters.events == direct.counters.events
         assert wrapped.counters.ops.ops == direct.counters.ops.ops
 
-    def test_simulate_finite_is_a_pipeline_wrapper(self):
-        from repro.core.finite import simulate_finite
-
-        direct = _pipeline(geometry=_TINY).run(_TRACE, "PIPE")
-        wrapped = simulate_finite(
-            create_protocol("dir0b", 4), _TRACE, _TINY, trace_name="PIPE"
-        )
-        assert wrapped.result.counters.events == direct.counters.events
-        assert wrapped.evictions == direct.evictions
-        assert wrapped.dirty_evictions == direct.dirty_evictions
-
     def test_every_wrapper_routes_through_the_one_feed_loop(self, monkeypatch):
-        """Acceptance: simulate, simulate_chunks, simulate_finite and
+        """Acceptance: simulate (infinite and finite), simulate_chunks and
         validate_coherence all drive ReferencePipeline.feed — the package's
         single reference-feed loop — rather than iterating traces
         themselves."""
-        from repro.core.finite import simulate_finite
         from repro.core.oracle import validate_coherence
         from repro.core.simulator import simulate, simulate_chunks
 
@@ -175,7 +163,7 @@ class TestWrappersShareTheEngine:
         assert len(calls) == 1
         simulate_chunks(create_protocol("dir0b", 4), [_TRACE[:150], _TRACE[150:]])
         assert len(calls) == 3  # one feed per chunk
-        simulate_finite(create_protocol("dir0b", 4), _TRACE, _TINY)
+        simulate(create_protocol("dir0b", 4), _TRACE, geometry=_TINY)
         assert len(calls) == 4
         validate_coherence(create_protocol("dir0b", 4), _TRACE)
         assert len(calls) == 5

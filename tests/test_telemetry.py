@@ -331,6 +331,23 @@ class TestSweepTelemetry:
         recorder.write_chrome_trace(destination)
         assert "OK" in _load_validator().validate_trace(destination)
 
+    def test_inline_cells_record_attempt_and_stage_spans(self):
+        """An inline cell records the attempt -> simulate/report stage
+        spans a worker cell does, in the sweep's own process."""
+        recorder = SpanRecorder()
+        report = run_sweep(_specs(("dir0b",)), jobs=1, telemetry=recorder)
+        assert len(report.failures) == 0
+        by_kind = {}
+        for span in recorder.spans:
+            by_kind.setdefault(span.kind, []).append(span)
+        (cell,) = by_kind["cell"]
+        (attempt,) = by_kind["attempt"]
+        assert attempt.parent_id == cell.span_id
+        assert attempt.attributes["status"] == "ok"
+        assert sorted(s.name for s in by_kind["stage"]) == ["report", "simulate"]
+        assert {s.parent_id for s in by_kind["stage"]} == {attempt.span_id}
+        assert {s.pid for s in recorder.spans} == {os.getpid()}
+
     def test_fault_and_retry_markers_recorded(self):
         recorder = SpanRecorder()
         plan = FaultPlan(
