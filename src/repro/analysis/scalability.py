@@ -219,7 +219,13 @@ def directory_storage_bits(
     The full map (DirnNB) grows linearly with the number of caches, the
     pointer schemes logarithmically, the digit code as 2·log2 n, and Dir0B
     not at all.
+
+    Raises:
+        ValueError: if a cache count is below 1.
     """
+    for n in cache_counts:
+        if n < 1:
+            raise ValueError(f"cache counts must be at least 1, got {n}")
     schemes = {
         "Dir1NB": Dir1NB.directory_bits_per_block,
         "DirnNB (full map)": DirnNB.directory_bits_per_block,

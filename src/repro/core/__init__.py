@@ -10,12 +10,7 @@ from .oracle import (
     OracleReport,
     validate_coherence,
 )
-from .pipeline import (
-    GeometryStage,
-    InfinitePassthrough,
-    ReferencePipeline,
-    SetAssociativeLRU,
-)
+from .pipeline import ReferencePipeline, SetAssociativeLRU
 from .fastsim import FastPipeline
 from .timing import TimingResult, simulate_timed
 from .metrics import (
@@ -28,7 +23,6 @@ from .simulator import (
     SimulationResult,
     make_pipeline,
     simulate,
-    simulate_chunks,
 )
 
 __all__ = [
@@ -47,8 +41,6 @@ __all__ = [
     "CoherenceViolation",
     "OracleReport",
     "validate_coherence",
-    "GeometryStage",
-    "InfinitePassthrough",
     "ReferencePipeline",
     "SetAssociativeLRU",
     "TimingResult",
@@ -58,5 +50,4 @@ __all__ = [
     "effective_processors",
     "SimulationResult",
     "simulate",
-    "simulate_chunks",
 ]

@@ -56,26 +56,6 @@ class SimulationCounters:
         if outcome.invalidation_fanout is not None:
             self.fanout.record(outcome.invalidation_fanout)
 
-    def merge(self, other: "SimulationCounters") -> "SimulationCounters":
-        """Fold another run's tallies into this one, exactly.
-
-        Every field is a pure sum, so merging per-chunk counters from a
-        sharded trace reproduces the single-run totals bit-for-bit (the
-        property the runner's sharding relies on).  Returns ``self`` so
-        merges chain.
-        """
-        events = self.events
-        for event, count in other.events.items():
-            events[event] = events.get(event, 0) + count
-        self.ops.merge(other.ops)
-        self.fanout.merge(other.fanout)
-        self.evictions += other.evictions
-        self.dirty_evictions += other.dirty_evictions
-        return self
-
-    def __iadd__(self, other: "SimulationCounters") -> "SimulationCounters":
-        return self.merge(other)
-
     @property
     def references(self) -> int:
         return self.ops.references

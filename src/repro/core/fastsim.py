@@ -16,7 +16,7 @@ dispatch table read off those same methods once, at construction (see
 * each reference encodes its condition code from that integer, looks up the
   matching :class:`~repro.protocols.table.Row`, and tallies *hits per row*
   (plus the remote-copy count ``F`` where a row's costs depend on it);
-* at batch boundaries the tally is *flushed* into real
+* at the end of the run the tally is *flushed* into real
   ``SimulationCounters`` — events, op multisets, bus transactions and the
   Figure 1 fan-out histogram are all linear in the per-row hit counts, so
   the flush reconstructs exactly what the reference loop would have counted.
@@ -28,15 +28,12 @@ ever materialised.  NumPy is optional: plain record iterables run through the
 same kernel via a pure-Python accumulation path.
 
 **Fidelity fallback.**  Some configurations need the reference loop's
-per-reference granularity: protocols whose state does not fit the table
+per-reference fidelity: protocols whose state does not fit the table
 vocabulary (``compile_table()`` is ``None``), oracle value checking, periodic
-invariant checks, custom geometry stages, and probes that declare
-``granularity = "reference"``.  For those the pipeline transparently wraps a
-:class:`ReferencePipeline` and feeds it — still decoding packed columns
-without building records — so ``backend="fast"`` is always safe to request.
-Batch-granularity probes (``granularity = "batch"``) keep the table kernel
-and receive :meth:`~repro.obs.probe.ReferenceProbe.on_batch` at internal
-batch boundaries.
+invariant checks, and probes, which observe every reference.  For those the
+pipeline transparently wraps a :class:`ReferencePipeline` and feeds it —
+still decoding packed columns without building records — so
+``backend="fast"`` is always safe to request.
 
 Two small infidelities are documented rather than mirrored: in table mode
 the protocol object itself is never mutated (all state lives in the kernel),
@@ -71,18 +68,14 @@ from ..protocols.table import TableError
 from ..trace.record import DEFAULT_BLOCK_SIZE, AccessType, TraceRecord
 from ..trace.stream import SharingModel
 from .counters import SimulationCounters
-from .pipeline import (
-    GeometryStage,
-    InfinitePassthrough,
-    ReferencePipeline,
-)
+from .pipeline import ReferencePipeline
 
 __all__ = ["FastPipeline", "HAS_NUMPY", "BATCH_SIZE"]
 
 #: Whether the vectorised packed-trace decode path is available.
 HAS_NUMPY = _np is not None
 
-#: References per internal batch (tally flush / probe notification cadence).
+#: References per internal column-decode batch (bounds its list sizes).
 BATCH_SIZE = 1 << 18
 
 _ACCESS_BY_CODE = (AccessType.INSTR, AccessType.READ, AccessType.WRITE)
@@ -93,9 +86,7 @@ class FastPipeline:
 
     Accepts the same constructor arguments; see the module docstring for
     when it runs the vectorised table kernel versus wrapping the reference
-    loop.  State persists across :meth:`feed` calls, so the chunking
-    contract (merge of per-chunk counters == single-run counters) holds
-    exactly as it does for the reference pipeline.
+    loop.
     """
 
     def __init__(
@@ -103,31 +94,18 @@ class FastPipeline:
         protocol: CoherenceProtocol,
         *,
         geometry: Optional[CacheGeometry] = None,
-        stage: Optional[GeometryStage] = None,
         block_size: int = DEFAULT_BLOCK_SIZE,
         sharing_model: SharingModel = SharingModel.PROCESS,
         check_invariants_every: int = 0,
         check_values: bool = False,
         probe: Optional["ReferenceProbe"] = None,
     ) -> None:
-        probe_granularity = (
-            getattr(probe, "granularity", "reference") if probe is not None else None
-        )
-        custom_stage = stage is not None and not isinstance(stage, InfinitePassthrough)
         # Derive the table only when the configuration lets the kernel run.
         table = (
             protocol.compile_table()
-            if not check_values
-            and check_invariants_every == 0
-            and not custom_stage
-            and probe_granularity in (None, "batch")
+            if not check_values and check_invariants_every == 0 and probe is None
             else None
         )
-        # An explicit InfinitePassthrough overrides geometry, exactly as the
-        # reference pipeline's constructor does.
-        self._geometry = None if isinstance(stage, InfinitePassthrough) else geometry
-        self._probe = probe
-        self._processed = 0
         self._by_process = sharing_model is SharingModel.PROCESS
         self.protocol = protocol
         self.block_size = block_size
@@ -139,15 +117,11 @@ class FastPipeline:
                 protocol, block_size=block_size, sharing_model=sharing_model
             )
             self._table = table
-            self._geometry_spec = (
-                self._geometry.spec if self._geometry is not None else None
-            )
-            self._init_kernel()
+            self._init_kernel(geometry)
         else:
             self._ref = ReferencePipeline(
                 protocol,
                 geometry=geometry,
-                stage=stage,
                 block_size=block_size,
                 sharing_model=sharing_model,
                 check_invariants_every=check_invariants_every,
@@ -155,7 +129,7 @@ class FastPipeline:
                 probe=probe,
             )
             self._table = None
-            self._geometry_spec = self._ref._geometry_spec
+        self._geometry_spec = geometry.spec if geometry is not None else None
         self.oracle = self._ref.oracle
 
     @property
@@ -163,7 +137,7 @@ class FastPipeline:
         """Whether this run executes the table kernel (vs the reference loop)."""
         return self._table is not None
 
-    def _init_kernel(self) -> None:
+    def _init_kernel(self, geometry: Optional[CacheGeometry]) -> None:
         n_caches = self.protocol.n_caches
         self._n_caches = n_caches
         self._full = (1 << n_caches) - 1
@@ -185,7 +159,7 @@ class FastPipeline:
             fan_dyn = row.fanout and row.fclass > 0
             entries.append((index, row.actions, row.aux_action, row.needs_f, fan_dyn))
         self._entries = entries
-        # Per-row tallies, flushed into SimulationCounters at batch boundaries.
+        # Per-row tallies, flushed into SimulationCounters at the end of feed.
         self._hits = [0] * len(rows)
         self._sumf = [0] * len(rows)
         self._fan: dict = {}
@@ -193,7 +167,6 @@ class FastPipeline:
         self._nrefs = 0
         self._ev = 0
         self._dev = 0
-        geometry = self._geometry
         if geometry is not None:
             # Finite-geometry mirror of SetAssociativeLRU: per-unit, per-set
             # insertion-ordered dicts (LRU order = insertion order).
@@ -204,27 +177,6 @@ class FastPipeline:
             self._assoc = geometry.associativity
         else:
             self._sets = None
-
-    def attach_probe(self, probe: Optional["ReferenceProbe"]) -> None:
-        """Attach (or detach) a probe.
-
-        In table mode only batch-granularity probes can be attached after
-        construction — a per-reference probe would need the reference loop,
-        so construct the pipeline with ``probe=...`` instead.
-        """
-        if (
-            self._table is not None
-            and probe is not None
-            and getattr(probe, "granularity", "reference") != "batch"
-        ):
-            raise RuntimeError(
-                "cannot attach a reference-granularity probe to a running "
-                "table-mode pipeline; pass probe= at construction to get the "
-                "reference-fidelity path"
-            )
-        self._probe = probe
-        if self._table is None:
-            self._ref.attach_probe(probe)
 
     # -- the kernel ------------------------------------------------------------
 
@@ -441,7 +393,6 @@ class FastPipeline:
         key_col = trace.pid if self._by_process else trace.cpu
         access_col = trace.access
         address_col = trace.address
-        probe = self._probe
         n = len(trace)
         for start in range(0, n, BATCH_SIZE):
             stop = min(start + BATCH_SIZE, n)
@@ -462,10 +413,6 @@ class FastPipeline:
                 self._run_data(
                     units.tolist(), (access == 2).tolist(), blocks.tolist()
                 )
-            self._processed += n_batch
-            if probe is not None:
-                self._flush(counters)
-                probe.on_batch(self._processed, counters)
 
     def _feed_records(
         self, trace: Iterable[TraceRecord], counters: SimulationCounters
@@ -474,7 +421,6 @@ class FastPipeline:
         resolve = self._ref.resolve_key
         by_process = self._by_process
         block_size = self.block_size
-        probe = self._probe
         units: list = []
         writes: list = []
         blocks: list = []
@@ -492,25 +438,17 @@ class FastPipeline:
             if pending == BATCH_SIZE:
                 self._run_data(units, writes, blocks)
                 self._nrefs += pending
-                self._processed += pending
                 units, writes, blocks = [], [], []
                 pending = 0
-                if probe is not None:
-                    self._flush(counters)
-                    probe.on_batch(self._processed, counters)
         if pending:
             self._run_data(units, writes, blocks)
             self._nrefs += pending
-            self._processed += pending
-            if probe is not None:
-                self._flush(counters)
-                probe.on_batch(self._processed, counters)
 
     def _feed_packed_reference(self, trace, counters: SimulationCounters) -> None:
         """Reference-fidelity path for packed input: column decode, then step.
 
-        Keeps per-reference semantics (probes, oracle, invariant checks,
-        custom stages) while still skipping TraceRecord construction.
+        Keeps per-reference semantics (probes, oracle, invariant checks)
+        while still skipping TraceRecord construction.
         """
         ref = self._ref
         step = ref.step
@@ -529,19 +467,12 @@ class FastPipeline:
     def feed(
         self, trace: Iterable[TraceRecord], counters: SimulationCounters
     ) -> None:
-        """Feed a trace (or one chunk of it) through the pipeline.
-
-        State persists across calls; chunk boundaries only affect how counts
-        are accumulated, exactly as with the reference pipeline.
-        """
+        """Feed a whole trace through the pipeline, tallying into ``counters``."""
         if self._table is None:
             if PackedTrace is not None and isinstance(trace, PackedTrace):
                 self._feed_packed_reference(trace, counters)
             else:
                 self._ref.feed(trace, counters)
-            probe = self._probe
-            if probe is not None:
-                probe.on_batch(self._ref._processed, counters)
             return
         if PackedTrace is not None and isinstance(trace, PackedTrace):
             self._feed_packed(trace, counters)
@@ -554,5 +485,4 @@ class FastPipeline:
     # Shared with the reference pipeline: they only call ``feed`` and read
     # the protocol, block size, sharing model and ``_geometry_spec``.
     run = ReferencePipeline.run
-    run_chunks = ReferencePipeline.run_chunks
     result = ReferencePipeline.result

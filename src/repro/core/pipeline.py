@@ -10,24 +10,19 @@ is that pipeline, composable and reused verbatim by every execution mode:
 * **finite caches** (the Section 4 "finite cache size" first-order remark,
   measured directly) — a set-associative LRU stage injects capacity and
   conflict displacements into the protocol state;
-* **chunked execution** (the runner's sharding) — protocol state threads
-  through consecutive chunks while each chunk tallies into its own
-  counters, which merge back exactly;
 * **oracle-checked execution** (value-level coherence validation) — every
   access is routed through the :class:`~repro.core.oracle.CoherenceOracle`
   instead of the bare protocol.
 
-Stages compose: a chunked finite run, or an oracle-checked finite run, is
-just a pipeline with both options set.  The *only* reference-feed loop in
-the package lives in :meth:`ReferencePipeline.feed`; everything else —
-``simulate``, ``simulate_chunks``, ``validate_coherence``, ``model_check``
-— is a wrapper over it, so a new scenario (policy, geometry, workload) is
-one pipeline stage instead of a fourth copy of the loop.
+Options compose: an oracle-checked finite run is just a pipeline with both
+options set.  The *only* reference-feed loop in the package lives in
+:meth:`ReferencePipeline.feed`; everything else — ``simulate``,
+``validate_coherence``, ``model_check`` — is a wrapper over it, so a new
+scenario is one pipeline option instead of another copy of the loop.
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
@@ -45,8 +40,6 @@ from .invalidation import InvalidationHistogram
 from .oracle import CoherenceOracle
 
 __all__ = [
-    "GeometryStage",
-    "InfinitePassthrough",
     "SetAssociativeLRU",
     "ReferencePipeline",
     "SimulationResult",
@@ -112,62 +105,18 @@ class SimulationResult:
         return self.counters.fanout
 
 
-class GeometryStage(abc.ABC):
-    """A cache-geometry stage: sits between unit resolution and the protocol.
+class SetAssociativeLRU:
+    """The finite-geometry stage: set-associative LRU caches.
 
-    The pipeline calls :meth:`before_access` with each data reference before
-    the protocol sees it (the stage makes the block resident, displacing a
-    victim if needed) and :meth:`after_access` afterwards (the stage mirrors
-    any coherence invalidations the protocol performed).  Instruction
-    fetches bypass the stage entirely — the paper excludes instruction
-    traffic from the data caches throughout.
-
-    To add a geometry or replacement policy, subclass this and pass an
-    instance as ``ReferencePipeline(stage=...)``; see docs/architecture.md.
-    """
-
-    #: spec string carried into :attr:`SimulationResult.geometry`
-    spec: Optional[str] = None
-
-    @abc.abstractmethod
-    def before_access(
-        self, unit: int, block: int, counters: SimulationCounters
-    ) -> None:
-        """Make ``block`` resident in ``unit``'s cache, tallying displacements."""
-
-    @abc.abstractmethod
-    def after_access(self, unit: int, block: int) -> None:
-        """Reconcile residency with the protocol's post-access sharing state."""
-
-
-class InfinitePassthrough(GeometryStage):
-    """The paper's infinite caches: nothing is ever displaced.
-
-    The pipeline treats a ``None`` stage as this passthrough without paying
-    the two method calls per reference; the class exists so the infinite
-    geometry has an explicit, documentable place in the stage taxonomy.
-    """
-
-    spec = None
-
-    def before_access(
-        self, unit: int, block: int, counters: SimulationCounters
-    ) -> None:
-        return None
-
-    def after_access(self, unit: int, block: int) -> None:
-        return None
-
-
-class SetAssociativeLRU(GeometryStage):
-    """Set-associative LRU caches with displacement injection.
-
-    Before each data access the block is made resident in the accessing
-    cache; any victim is displaced through
+    It sits between unit resolution and the protocol.  Before each data
+    access (:meth:`before_access`) the block is made resident in the
+    accessing cache; any victim is displaced through
     :meth:`~repro.protocols.base.CoherenceProtocol.evict`, whose bus
     operations (dirty write-backs) are added to the tally.  After the
-    access, blocks the protocol invalidated in other caches are dropped
-    from their finite caches so residency stays consistent.
+    access (:meth:`after_access`), blocks the protocol invalidated in other
+    caches are dropped from their finite caches so residency stays
+    consistent.  Instruction fetches bypass the stage entirely — the paper
+    excludes instruction traffic from the data caches throughout.
 
     The paper's footnote that "coherency-related misses will be fewer in a
     finite-sized cache" (some would-be-invalidated blocks have already been
@@ -177,12 +126,12 @@ class SetAssociativeLRU(GeometryStage):
     def __init__(self, protocol: CoherenceProtocol, geometry: CacheGeometry) -> None:
         self.protocol = protocol
         self.geometry = geometry
-        self.spec = geometry.spec
         self.caches = [FiniteCache(geometry) for _ in range(protocol.n_caches)]
 
     def before_access(
         self, unit: int, block: int, counters: SimulationCounters
     ) -> None:
+        """Make ``block`` resident in ``unit``'s cache, tallying displacements."""
         cache = self.caches[unit]
         if not cache.touch(block):
             victim = cache.insert(block)
@@ -194,6 +143,7 @@ class SetAssociativeLRU(GeometryStage):
                     counters.dirty_evictions += 1
 
     def after_access(self, unit: int, block: int) -> None:
+        """Reconcile residency with the protocol's post-access sharing state."""
         holders = self.protocol.sharing.holders(block)
         for other_unit, other_cache in enumerate(self.caches):
             if other_unit != unit and not (holders >> other_unit) & 1:
@@ -203,19 +153,15 @@ class SetAssociativeLRU(GeometryStage):
 class ReferencePipeline:
     """One engine: trace source -> unit map -> geometry -> protocol -> counters.
 
-    The pipeline owns everything that must survive a chunk boundary — the
-    protocol, the sharing-unit registry, the geometry stage's residency,
-    the oracle's version bookkeeping, and the invariant-check cadence — so
-    feeding a trace in any number of consecutive pieces is bit-identical to
-    feeding it whole.
+    The pipeline owns all per-run state: the protocol, the sharing-unit
+    registry, the geometry stage's residency, the oracle's version
+    bookkeeping, and the invariant-check cadence.
 
     Args:
         protocol: a freshly constructed protocol (its cache count bounds
             the number of distinct sharing units the trace may contain).
         geometry: finite-cache geometry; ``None`` (default) simulates the
             paper's infinite caches.
-        stage: an explicit :class:`GeometryStage`, overriding ``geometry``
-            (for custom policies).
         block_size: bytes per block (the paper uses 16 throughout).
         sharing_model: classify sharing by process (paper default) or by
             processor.
@@ -238,7 +184,6 @@ class ReferencePipeline:
         protocol: CoherenceProtocol,
         *,
         geometry: Optional[CacheGeometry] = None,
-        stage: Optional[GeometryStage] = None,
         block_size: int = DEFAULT_BLOCK_SIZE,
         sharing_model: SharingModel = SharingModel.PROCESS,
         check_invariants_every: int = 0,
@@ -247,10 +192,6 @@ class ReferencePipeline:
     ) -> None:
         if block_size <= 0:
             raise ValueError(f"block_size must be positive, got {block_size}")
-        if stage is None and geometry is not None:
-            stage = SetAssociativeLRU(protocol, geometry)
-        if isinstance(stage, InfinitePassthrough):
-            stage = None  # the hot loop skips the two no-op calls
         self.protocol = protocol
         self.block_size = block_size
         self.sharing_model = sharing_model
@@ -261,25 +202,19 @@ class ReferencePipeline:
         self._access: Callable[[int, AccessType, int], object] = (
             self.oracle.access if self.oracle is not None else protocol.access
         )
-        self._stage = stage
-        self._geometry_spec = stage.spec if stage is not None else None
+        self._stage = (
+            SetAssociativeLRU(protocol, geometry) if geometry is not None else None
+        )
+        self._geometry_spec = geometry.spec if geometry is not None else None
         self._probe = probe
         self._units: dict = {}
         self._by_process = sharing_model is SharingModel.PROCESS
         self._processed = 0
 
-    def attach_probe(self, probe: Optional["ReferenceProbe"]) -> None:
-        """Attach (or, with ``None``, detach) the per-reference probe."""
-        self._probe = probe
-
     # -- the engine ------------------------------------------------------------
 
     def resolve_unit(self, record: TraceRecord) -> int:
-        """Dense cache index for the record's sharing unit (pid or cpu).
-
-        The registry is pipeline-owned, so a chunked run assigns the same
-        indices as a single-pass run.
-        """
+        """Dense cache index for the record's sharing unit (pid or cpu)."""
         return self.resolve_key(
             record.pid if self._by_process else record.cpu
         )
@@ -334,12 +269,9 @@ class ReferencePipeline:
         return outcome
 
     def feed(self, trace: Iterable[TraceRecord], counters: SimulationCounters) -> None:
-        """Feed a trace (or one chunk of it) through the pipeline.
+        """Feed a whole trace through the pipeline, tallying into ``counters``.
 
-        This is the package's only reference-feed loop.  State persists
-        across calls, so consecutive ``feed`` calls with fresh counters are
-        the chunking contract: chunk boundaries affect only how *counts*
-        are accumulated, never the pipeline's state.
+        This is the package's only reference-feed loop.
         """
         step = self.step
         resolve = self.resolve_unit
@@ -359,30 +291,6 @@ class ReferencePipeline:
         counters = SimulationCounters()
         self.feed(trace, counters)
         return self.result(trace_name, counters)
-
-    def run_chunks(
-        self,
-        chunks: Iterable[Iterable[TraceRecord]],
-        trace_name: str = "trace",
-        chunk_done: Optional[Callable[[SimulationCounters], None]] = None,
-    ) -> SimulationResult:
-        """Feed a trace supplied as consecutive chunks, merging exactly.
-
-        Each chunk tallies into a fresh :class:`SimulationCounters` and the
-        per-chunk counters are merged, so the result is bit-identical to
-        one :meth:`run` over the concatenated trace — under any geometry
-        stage and with or without the oracle.  ``chunk_done``, when given,
-        receives each chunk's own counters as it completes (checkpoint and
-        progress hook for the runner).
-        """
-        merged = SimulationCounters()
-        for chunk in chunks:
-            counters = SimulationCounters()
-            self.feed(chunk, counters)
-            merged.merge(counters)
-            if chunk_done is not None:
-                chunk_done(counters)
-        return self.result(trace_name, merged)
 
     def result(
         self, trace_name: str, counters: SimulationCounters

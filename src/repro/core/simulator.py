@@ -12,18 +12,17 @@ process, Section 4.4); pass ``SharingModel.PROCESSOR`` to key caches by CPU
 instead.  Caches are infinite (the paper's methodology) unless a
 ``geometry`` is given, in which case a set-associative LRU stage injects
 displacements (see :mod:`repro.core.pipeline`, which owns the single
-reference-feed loop behind both entry points here).
+reference-feed loop behind :func:`simulate`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from ..memory.cache import CacheGeometry
 from ..protocols.base import CoherenceProtocol
 from ..trace.record import DEFAULT_BLOCK_SIZE, TraceRecord
 from ..trace.stream import SharingModel
-from .counters import SimulationCounters
 from .pipeline import ReferencePipeline, SimulationResult
 
 if TYPE_CHECKING:
@@ -34,7 +33,6 @@ __all__ = [
     "SimulationResult",
     "make_pipeline",
     "simulate",
-    "simulate_chunks",
 ]
 
 #: Selectable simulation backends (the ``--backend`` knob).
@@ -112,41 +110,3 @@ def simulate(
         probe=probe,
     )
     return pipeline.run(trace, trace_name)
-
-
-def simulate_chunks(
-    protocol: CoherenceProtocol,
-    chunks: Iterable[Iterable[TraceRecord]],
-    trace_name: str = "trace",
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    sharing_model: SharingModel = SharingModel.PROCESS,
-    check_invariants_every: int = 0,
-    chunk_done: Optional[Callable[[SimulationCounters], None]] = None,
-    geometry: Optional[CacheGeometry] = None,
-    probe: Optional["ReferenceProbe"] = None,
-    backend: str = "reference",
-) -> SimulationResult:
-    """Simulate a trace supplied as consecutive chunks, merging exactly.
-
-    The sharding invariant: chunk boundaries affect only how *counts* are
-    accumulated, never the pipeline's state.  Pipeline state (protocol,
-    sharing-unit registry, and any finite-geometry residency) is threaded
-    through the chunks in order, each chunk tallies into a fresh
-    :class:`SimulationCounters`, and the per-chunk counters are merged — so
-    the result is bit-identical to one :func:`simulate` over the
-    concatenated trace, for infinite and finite geometries alike.
-    ``chunk_done``, when given, receives each chunk's own counters as it
-    completes (checkpoint and progress hook for the runner).  ``backend``
-    selects the engine, exactly as in :func:`simulate` — the sharding
-    invariant holds for both.
-    """
-    pipeline = make_pipeline(
-        backend,
-        protocol,
-        geometry=geometry,
-        block_size=block_size,
-        sharing_model=sharing_model,
-        check_invariants_every=check_invariants_every,
-        probe=probe,
-    )
-    return pipeline.run_chunks(chunks, trace_name, chunk_done)

@@ -41,16 +41,6 @@ class BusOpCounts:
         if count:
             self.ops[op] = self.ops.get(op, 0) + count
 
-    def merge(self, other: "BusOpCounts") -> "BusOpCounts":
-        for op, count in other.ops.items():
-            self.ops[op] = self.ops.get(op, 0) + count
-        self.transactions += other.transactions
-        self.references += other.references
-        return self
-
-    def __iadd__(self, other: "BusOpCounts") -> "BusOpCounts":
-        return self.merge(other)
-
     def rate(self, op: BusOp) -> float:
         """Occurrences of ``op`` per reference."""
         if self.references == 0:

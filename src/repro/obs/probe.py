@@ -46,20 +46,10 @@ class ReferenceProbe:
     """Base probe: override :meth:`on_reference`; close to flush resources.
 
     Probes are observers only — the pipeline's counters and protocol state
-    are bit-identical with and without one attached.
-
-    ``granularity`` declares the finest observation the probe needs.  The
-    default ``"reference"`` delivers every reference via
-    :meth:`on_reference`; the fast backend honours it by routing the run
-    through its reference-fidelity path (correct, but forgoing the table
-    kernel's speed).  A probe that only needs progress/throughput signals
-    can set ``granularity = "batch"`` and override :meth:`on_batch`; such
-    probes keep the fast backend on its vectorised path and are notified at
-    internal batch boundaries instead.
+    are bit-identical with and without one attached.  The fast backend
+    honours a probe by routing the run through its reference-fidelity path
+    (correct, but forgoing the table kernel's speed).
     """
-
-    #: ``"reference"`` (default) or ``"batch"``
-    granularity = "reference"
 
     def on_reference(
         self,
@@ -72,15 +62,6 @@ class ReferenceProbe:
         """Called once per reference, after the pipeline fully processed it.
 
         ``index`` counts references seen by this probe, from 0.
-        """
-
-    def on_batch(self, processed: int, counters: object) -> None:
-        """Batch-boundary hook (fast backend only; default no-op).
-
-        Called after each internal batch with the cumulative number of
-        references processed by the pipeline and the (flushed, current
-        chunk's) :class:`~repro.core.counters.SimulationCounters`.  The
-        reference pipeline never batches, so it never calls this.
         """
 
     def close(self) -> None:

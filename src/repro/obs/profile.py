@@ -8,7 +8,7 @@ nanoseconds, and overall throughput (the ``repro-coherence profile`` CLI
 verb renders it as a table).
 
 The instrumentation wraps the pipeline's existing seams (the trace
-iterator, the :class:`~repro.core.pipeline.GeometryStage` interface, the
+iterator, the :class:`~repro.core.pipeline.SetAssociativeLRU` hooks, the
 protocol access callable, and :meth:`SimulationCounters.record`) rather
 than duplicating the feed loop, so the profiled run produces bit-identical
 counters to an unprofiled one; the timer calls themselves slow the run
@@ -24,7 +24,7 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Optional
 
 from ..core.counters import SimulationCounters
-from ..core.pipeline import GeometryStage, ReferencePipeline, SimulationResult
+from ..core.pipeline import ReferencePipeline, SetAssociativeLRU, SimulationResult
 from ..trace.record import TraceRecord
 from .metrics import MetricsRegistry, Timer
 
@@ -61,13 +61,12 @@ def _timed_records(
         yield record
 
 
-class _TimedStage(GeometryStage):
+class _TimedStage:
     """Charge an inner geometry stage's hook time to a timer."""
 
-    def __init__(self, inner: GeometryStage, timer: Timer) -> None:
+    def __init__(self, inner: SetAssociativeLRU, timer: Timer) -> None:
         self._inner = inner
         self._timer = timer
-        self.spec = inner.spec
 
     def before_access(
         self, unit: int, block: int, counters: SimulationCounters

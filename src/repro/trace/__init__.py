@@ -8,11 +8,9 @@ This package provides everything the simulator consumes:
 * :mod:`repro.trace.stats` — trace characterisation (paper Table 3);
 * :mod:`repro.trace.atum` — ATUM-style trace file formats for real traces;
 * :mod:`repro.trace.synthetic` — the parallel-workload engine;
-* :mod:`repro.trace.workloads` — calibrated POPS / THOR / PERO profiles;
-* :mod:`repro.trace.chunk` — chunked stream splitting for sharded runs.
+* :mod:`repro.trace.workloads` — calibrated POPS / THOR / PERO profiles.
 """
 
-from .chunk import iter_chunks, split_at
 from .classify import (
     BlockClass,
     BlockProfile,
@@ -49,8 +47,6 @@ from .workloads import (
 )
 
 __all__ = [
-    "iter_chunks",
-    "split_at",
     "BlockClass",
     "BlockProfile",
     "SharingProfile",

@@ -54,6 +54,12 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Dir0B" in out
 
+    @pytest.mark.parametrize("count", ["0", "-4"])
+    def test_storage_rejects_a_cache_count_below_one(self, count, capsys):
+        assert main(["storage", "--caches", "4", count]) == 2
+        err = capsys.readouterr().err
+        assert f"cache counts must be at least 1, got {count}" in err
+
     def test_export_trace_text(self, tmp_path, capsys):
         path = tmp_path / "pops.txt"
         assert main(FAST + ["export-trace", "POPS", str(path)]) == 0

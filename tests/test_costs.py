@@ -39,16 +39,6 @@ class TestBusOpCounts:
         counts = _counts({}, references=200, transactions=10)
         assert counts.transactions_per_reference == 0.05
 
-    def test_merge(self):
-        a = _counts({BusOp.MEM_ACCESS: 1}, references=10, transactions=1)
-        b = _counts({BusOp.MEM_ACCESS: 2, BusOp.INVALIDATE: 1}, 20, 3)
-        a.merge(b)
-        assert a.ops[BusOp.MEM_ACCESS] == 3
-        assert a.ops[BusOp.INVALIDATE] == 1
-        assert a.references == 30
-        assert a.transactions == 4
-
-
 class TestCostSummary:
     def test_cycles_per_reference(self):
         counts = _counts(

@@ -119,39 +119,6 @@ class TestTransactionSemantics:
             assert counters.ops.transactions == used_bus, name
 
 
-class TestCounterMerge:
-    def test_merge_sums_every_field(self):
-        a = SimulationCounters()
-        a.record(_outcome(Event.READ_HIT))
-        a.record(_outcome(Event.RM_BLK_CLEAN, ops=[(BusOp.MEM_ACCESS, 1)]))
-        a.record(_outcome(Event.WH_BLK_CLEAN, ops=[(BusOp.INVALIDATE, 1)], fanout=1))
-        b = SimulationCounters()
-        b.record(_outcome(Event.READ_HIT))
-        b.record(_outcome(Event.WH_BLK_CLEAN, ops=[(BusOp.INVALIDATE, 2)], fanout=2))
-        merged = a.merge(b)
-        assert merged is a
-        assert a.event_count(Event.READ_HIT) == 2
-        assert a.ops.references == 5
-        assert a.ops.transactions == 3
-        assert a.ops.ops[BusOp.INVALIDATE] == 3
-        assert a.fanout.as_dict() == {1: 1, 2: 1}
-
-    def test_iadd_is_merge(self):
-        a = SimulationCounters()
-        a.record(_outcome(Event.READ_HIT))
-        b = SimulationCounters()
-        b.record(_outcome(Event.INSTR))
-        a += b
-        assert a.references == 2
-
-    def test_merge_with_empty_is_identity(self):
-        a = SimulationCounters()
-        a.record(_outcome(Event.RM_BLK_DIRTY, ops=[(BusOp.WRITE_BACK, 1)]))
-        before = (dict(a.events), dict(a.ops.ops), a.ops.transactions)
-        a.merge(SimulationCounters())
-        assert (dict(a.events), dict(a.ops.ops), a.ops.transactions) == before
-
-
 class TestEventFrequencies:
     def _frequencies(self):
         counters = SimulationCounters()

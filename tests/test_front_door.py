@@ -3,9 +3,10 @@
 Every simulation in ``src/repro`` goes through ``simulate()``, reached
 either through ``RunSpec.run()`` (grids, sweeps, the service) or through
 ``run_comparison`` (caller-supplied traces: the analyses).  The reference
-pipeline is built only by the core engine and the stage profiler.  These
-checks read the source's syntax tree, so a new private feed loop fails here
-rather than drifting from the sweep engine unnoticed.
+pipeline is built only by the core engine and the stage profiler, and a
+run feeds its whole trace once.  These checks read the source's syntax
+tree, so a new private feed loop, or a second feed-and-merge path, fails
+here rather than drifting from the sweep engine unnoticed.
 """
 
 from __future__ import annotations
@@ -19,6 +20,16 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 #: The only modules allowed to call ``simulate(...)``.
 SIMULATE_CALLERS = {"runner/spec.py", "core/comparison.py"}
+
+#: The only (module, function) pairs allowed to call ``.feed(...)``: the
+#: run wrapper, the fast backend's reference fallback, the value oracle and
+#: the stage profiler.
+FEED_CALLERS = {
+    ("core/pipeline.py", "run"),
+    ("core/fastsim.py", "feed"),
+    ("core/oracle.py", "validate_coherence"),
+    ("obs/profile.py", "profile_spec"),
+}
 
 
 @functools.lru_cache(maxsize=None)
@@ -62,6 +73,27 @@ def test_simulate_is_called_only_from_the_two_drivers():
     callers = _callers_of("simulate")
     assert set(callers) <= SIMULATE_CALLERS, callers
     assert set(callers) == SIMULATE_CALLERS
+
+
+def _feed_callers(node: ast.AST, module: str, function: str, found: set) -> None:
+    """Collect (module, innermost enclosing function) of each ``.feed(``."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "feed"
+    ):
+        found.add((module, function))
+    for child in ast.iter_child_nodes(node):
+        _feed_callers(child, module, function, found)
+
+
+def test_feed_is_called_only_by_the_four_single_pass_drivers():
+    callers: set = set()
+    for module, tree in _trees().items():
+        _feed_callers(tree, module, "<module>", callers)
+    assert callers == FEED_CALLERS, sorted(callers ^ FEED_CALLERS)
 
 
 def test_reference_pipeline_is_built_only_by_the_core_and_the_profiler():

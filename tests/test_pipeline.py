@@ -1,20 +1,15 @@
 """Tests for the unified reference pipeline: stages, wrappers, composition.
 
-The behavioural equivalences (finite-vs-infinite counters, chunk merging)
-live in test_runner_merge_properties.py; this module exercises the pipeline
-API itself — stage selection, oracle wrapping, state threading, and the
-composability the refactor exists to provide.
+The behavioural equivalences (finite-vs-infinite counters) live in
+test_finite.py; this module exercises the pipeline API itself — stage
+selection, oracle wrapping, invariant cadence, and the composability the
+refactor exists to provide.
 """
 
 import pytest
 
 from repro.core.counters import SimulationCounters
-from repro.core.pipeline import (
-    GeometryStage,
-    InfinitePassthrough,
-    ReferencePipeline,
-    SetAssociativeLRU,
-)
+from repro.core.pipeline import ReferencePipeline, SetAssociativeLRU
 from repro.memory.cache import CacheGeometry
 from repro.protocols.registry import create_protocol
 from repro.trace.synthetic import SyntheticWorkload, WorkloadProfile
@@ -34,37 +29,10 @@ class TestStageSelection:
         assert result.geometry is None
         assert result.evictions == 0
 
-    def test_explicit_passthrough_is_equivalent_to_none(self):
-        bare = _pipeline().run(_TRACE, "PIPE")
-        passthrough = _pipeline(stage=InfinitePassthrough()).run(_TRACE, "PIPE")
-        assert passthrough.geometry is None
-        assert passthrough.counters.events == bare.counters.events
-        assert passthrough.counters.ops.ops == bare.counters.ops.ops
-
     def test_geometry_builds_lru_stage_and_stamps_result(self):
         result = _pipeline(geometry=_TINY).run(_TRACE, "PIPE")
         assert result.geometry == "4x2"
         assert result.evictions > 0
-
-    def test_custom_stage_overrides_geometry(self):
-        class CountingStage(GeometryStage):
-            spec = "custom"
-
-            def __init__(self):
-                self.before = 0
-                self.after = 0
-
-            def before_access(self, unit, block, counters):
-                self.before += 1
-
-            def after_access(self, unit, block):
-                self.after += 1
-
-        stage = CountingStage()
-        result = _pipeline(stage=stage).run(_TRACE, "PIPE")
-        assert result.geometry == "custom"
-        data_refs = sum(1 for r in _TRACE if r.access.name != "INSTR")
-        assert stage.before == stage.after == data_refs
 
     def test_instruction_fetches_bypass_the_stage(self):
         protocol = create_protocol("dir0b", 1)
@@ -87,13 +55,6 @@ class TestUnitResolution:
         with pytest.raises(ValueError, match="more than 2 sharing units"):
             pipeline.run(_TRACE, "PIPE")
 
-    def test_unit_registry_threads_across_chunks(self):
-        whole = _pipeline().run(_TRACE, "PIPE")
-        halves = _pipeline().run_chunks(
-            [_TRACE[:150], _TRACE[150:]], "PIPE"
-        )
-        assert halves.counters.events == whole.counters.events
-
 
 class TestOracleWrapping:
     def test_check_values_exposes_a_live_oracle(self):
@@ -107,13 +68,6 @@ class TestOracleWrapping:
         pipeline = _pipeline(check_values=True, geometry=_TINY)
         result = pipeline.run(_TRACE, "PIPE")
         assert result.geometry == "4x2" and result.evictions > 0
-        pipeline.oracle.check_all_copies()
-
-    def test_oracle_composes_with_chunking(self):
-        pipeline = _pipeline(check_values=True)
-        chunked = pipeline.run_chunks([_TRACE[:100], _TRACE[100:]], "PIPE")
-        plain = _pipeline().run(_TRACE, "PIPE")
-        assert chunked.counters.events == plain.counters.events
         pipeline.oracle.check_all_copies()
 
 
@@ -143,12 +97,12 @@ class TestWrappersShareTheEngine:
         assert wrapped.counters.ops.ops == direct.counters.ops.ops
 
     def test_every_wrapper_routes_through_the_one_feed_loop(self, monkeypatch):
-        """Acceptance: simulate (infinite and finite), simulate_chunks and
-        validate_coherence all drive ReferencePipeline.feed — the package's
-        single reference-feed loop — rather than iterating traces
+        """Acceptance: simulate (infinite and finite) and validate_coherence
+        all drive ReferencePipeline.feed — the package's single
+        reference-feed loop — once per run, rather than iterating traces
         themselves."""
         from repro.core.oracle import validate_coherence
-        from repro.core.simulator import simulate, simulate_chunks
+        from repro.core.simulator import simulate
 
         calls = []
         original = ReferencePipeline.feed
@@ -161,9 +115,7 @@ class TestWrappersShareTheEngine:
 
         simulate(create_protocol("dir0b", 4), _TRACE)
         assert len(calls) == 1
-        simulate_chunks(create_protocol("dir0b", 4), [_TRACE[:150], _TRACE[150:]])
-        assert len(calls) == 3  # one feed per chunk
         simulate(create_protocol("dir0b", 4), _TRACE, geometry=_TINY)
-        assert len(calls) == 4
+        assert len(calls) == 2
         validate_coherence(create_protocol("dir0b", 4), _TRACE)
-        assert len(calls) == 5
+        assert len(calls) == 3
