@@ -1126,17 +1126,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "serve: --cache-dir DIR is required (the service root: shared "
             "result cache plus per-job artifacts live under it)"
         )
-    if args.workers < 1:
-        raise UsageError("serve: --workers must be >= 1")
-    if args.queue_limit < 1:
-        raise UsageError("serve: --queue-limit must be >= 1")
-    if args.rate_limit is not None and args.rate_limit < 0:
-        raise UsageError("serve: --rate-limit must be >= 0")
-    if args.burst < 1:
-        raise UsageError("serve: --burst must be >= 1")
 
     from .service import JobManager, run_service
 
+    # JobManager rejects bad limits before binding; main() maps that to exit 2.
     fault_plan = None
     if args.fault_plan:
         from .resilience import FaultPlan

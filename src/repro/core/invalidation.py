@@ -39,9 +39,6 @@ class InvalidationHistogram:
             self._counts[fanout] = self._counts.get(fanout, 0) + count
         return self
 
-    def __iadd__(self, other: "InvalidationHistogram") -> "InvalidationHistogram":
-        return self.merge(other)
-
     @property
     def total(self) -> int:
         return sum(self._counts.values())

@@ -128,6 +128,14 @@ class CoherenceOracle:
             index += 1
         return outcome
 
+    def evict(self, cache: int, block: int):
+        """Forward a displacement; a write-back carries the victim's copy home."""
+        ops = self.protocol.evict(cache, block)
+        version = self._copy_version.pop((cache, block), 0)
+        if any(op is BusOp.WRITE_BACK for op, _count in ops):
+            self._memory[block] = version
+        return ops
+
     def _check_current(self, cache: int, block: int, context: str) -> None:
         self.copies_checked += 1
         held = self._copy_version.get((cache, block), 0)

@@ -11,8 +11,8 @@ is that pipeline, composable and reused verbatim by every execution mode:
   measured directly) — a set-associative LRU stage injects capacity and
   conflict displacements into the protocol state;
 * **oracle-checked execution** (value-level coherence validation) — every
-  access is routed through the :class:`~repro.core.oracle.CoherenceOracle`
-  instead of the bare protocol.
+  access and eviction is routed through the
+  :class:`~repro.core.oracle.CoherenceOracle` instead of the bare protocol.
 
 Options compose: an oracle-checked finite run is just a pipeline with both
 options set.  The *only* reference-feed loop in the package lives in
@@ -110,9 +110,10 @@ class SetAssociativeLRU:
 
     It sits between unit resolution and the protocol.  Before each data
     access (:meth:`before_access`) the block is made resident in the
-    accessing cache; any victim is displaced through
-    :meth:`~repro.protocols.base.CoherenceProtocol.evict`, whose bus
-    operations (dirty write-backs) are added to the tally.  After the
+    accessing cache; any victim is displaced through ``evict`` (the
+    protocol's :meth:`~repro.protocols.base.CoherenceProtocol.evict`, or
+    the oracle's when values are checked), whose bus operations (dirty
+    write-backs) are added to the tally.  After the
     access (:meth:`after_access`), blocks the protocol invalidated in other
     caches are dropped from their finite caches so residency stays
     consistent.  Instruction fetches bypass the stage entirely — the paper
@@ -123,9 +124,12 @@ class SetAssociativeLRU:
     purged) emerges naturally from this construction.
     """
 
-    def __init__(self, protocol: CoherenceProtocol, geometry: CacheGeometry) -> None:
+    def __init__(
+        self, protocol: CoherenceProtocol, geometry: CacheGeometry, evict: Callable
+    ) -> None:
         self.protocol = protocol
         self.geometry = geometry
+        self._evict = evict
         self.caches = [FiniteCache(geometry) for _ in range(protocol.n_caches)]
 
     def before_access(
@@ -138,7 +142,7 @@ class SetAssociativeLRU:
             if victim is not None:
                 counters.evictions += 1
                 ops = counters.ops
-                for op, count in self.protocol.evict(unit, victim):
+                for op, count in self._evict(unit, victim):
                     ops.add(op, count)
                     counters.dirty_evictions += 1
 
@@ -199,12 +203,12 @@ class ReferencePipeline:
         self.oracle: Optional[CoherenceOracle] = (
             CoherenceOracle(protocol) if check_values else None
         )
-        self._access: Callable[[int, AccessType, int], object] = (
-            self.oracle.access if self.oracle is not None else protocol.access
-        )
-        self._stage = (
-            SetAssociativeLRU(protocol, geometry) if geometry is not None else None
-        )
+        # The oracle sees evictions too: their write-backs update memory.
+        checked = self.oracle if self.oracle is not None else protocol
+        self._access: Callable[[int, AccessType, int], object] = checked.access
+        self._stage = None
+        if geometry is not None:
+            self._stage = SetAssociativeLRU(protocol, geometry, checked.evict)
         self._geometry_spec = geometry.spec if geometry is not None else None
         self._probe = probe
         self._units: dict = {}

@@ -32,17 +32,17 @@ zero duplicate simulations, bit-identical counters.
 
 The dedupe step is the service's core economy: a grid whose every cell
 (full key, or re-priceable base key) is already on disk never touches the
-worker queue — it replays through ``run_sweep`` inline against the
+worker queue — it runs :func:`_sweep_to_disk` inline against the
 service's shared cache and registry, so the ``cache.hit`` counters land
 in ``GET /metrics`` and the submitter gets a finished job in one round
-trip.  Everything else runs in a child process: ``run_sweep`` writes the
-job's own status snapshot/journal/spans under ``jobs/<id>/`` (the PR 7
-telemetry substrate, unchanged), the child ships its metrics snapshot
-back over a pipe, and the parent folds it into the service registry via
-:meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot` — one scrape
-endpoint sees every sweep, however it executed.  A child process also
-makes cancellation honest: ``terminate()`` actually stops a sweep
-mid-flight, which no amount of thread flagging can.
+trip.  Everything else runs the same function in a child process, which
+writes the job's status snapshot/journal/spans under ``jobs/<id>/``,
+ships its metrics snapshot back over a pipe, and the parent folds it in
+via :meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot` — one
+scrape endpoint sees every sweep, however it executed.  A child process
+also makes cancellation honest: ``terminate()`` actually stops a sweep
+mid-flight.  Every job ends in :meth:`JobManager._settle`, so its status
+snapshot, the failure counter and the journal agree however it ended.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ import json
 import multiprocessing
 import os
 import queue
+import shutil
 import signal
 import threading
 import time
@@ -244,6 +245,39 @@ class Job:
         return payload
 
 
+def _sweep_to_disk(
+    job_dir: Path,
+    specs,
+    options: SweepOptions,
+    cache: ResultCache,
+    registry: MetricsRegistry,
+    recorder: Optional[SpanRecorder] = None,
+) -> None:
+    """Run one job's sweep: the only ``run_sweep`` call of the service.
+
+    The sweep keeps its status snapshot and journal under ``job_dir``;
+    ``result.json`` is written atomically, and ``spans.json`` when a
+    recorder is given.
+    """
+    report = run_sweep(
+        specs,
+        jobs=options.jobs,
+        cache=cache,
+        registry=registry,
+        retry=options.retries,
+        cell_timeout=options.cell_timeout,
+        keep_going=options.keep_going,
+        journal=SweepJournal(job_dir / "journal.jsonl"),
+        telemetry=recorder,
+        status_path=job_dir / "status.json",
+    )
+    tmp = job_dir / "result.json.tmp"
+    tmp.write_text(json.dumps(report_payload(report), indent=2, sort_keys=True))
+    os.replace(tmp, job_dir / "result.json")
+    if recorder is not None:
+        recorder.write_chrome_trace(job_dir / "spans.json")
+
+
 def _job_process_main(
     conn,
     specs,
@@ -253,38 +287,20 @@ def _job_process_main(
 ) -> None:
     """Child-process entry: run one sweep with the full telemetry substrate.
 
-    Builds a fresh registry/cache/journal/recorder (fork inherits the
+    Builds a fresh registry, cache and span recorder (fork inherits the
     parent's — sharing them across the process boundary would double
-    count), runs the sweep with its status snapshot and journal under the
-    job directory, writes ``result.json`` + ``spans.json`` atomically, and
-    ships ``{"ok", "metrics", "error"?}`` back over the pipe so the parent
-    can fold this sweep into the service-wide registry.
+    count), runs the sweep through :func:`_sweep_to_disk`, and ships
+    ``{"ok", "metrics", "error"?}`` back over the pipe so the parent can
+    fold this sweep into the service-wide registry.
     """
-    job_path = Path(job_dir)
     registry = MetricsRegistry()
     set_registry(registry)
-    cache = ResultCache(Path(cache_dir), registry=registry)
-    journal = SweepJournal(job_path / "journal.jsonl")
-    recorder = SpanRecorder()
-    outcome: dict = {"ok": False, "metrics": {}}
+    outcome: dict = {"ok": False}
     try:
-        report = run_sweep(
-            specs,
-            jobs=options.jobs,
-            cache=cache,
-            registry=registry,
-            retry=options.retries,
-            cell_timeout=options.cell_timeout,
-            keep_going=options.keep_going,
-            journal=journal,
-            telemetry=recorder,
-            status_path=job_path / "status.json",
+        cache = ResultCache(Path(cache_dir), registry=registry)
+        _sweep_to_disk(
+            Path(job_dir), specs, options, cache, registry, SpanRecorder()
         )
-        payload = report_payload(report)
-        tmp = job_path / "result.json.tmp"
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
-        os.replace(tmp, job_path / "result.json")
-        recorder.write_chrome_trace(job_path / "spans.json")
         outcome["ok"] = True
     except Exception as error:  # ships the failure, never a traceback dump
         outcome["error"] = f"{type(error).__name__}: {error}"
@@ -325,6 +341,7 @@ class JobManager:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if queue_limit < 1:
             raise ValueError(f"queue_limit must be >= 1, got {queue_limit}")
+        TokenBucket(rate_per_sec, burst)  # rejects bad limits now, not per submit
         self.root = Path(root)
         self.jobs_root = self.root / "jobs"
         self.jobs_root.mkdir(parents=True, exist_ok=True)
@@ -441,16 +458,17 @@ class JobManager:
                             self._idempotency[key] = job.job_id
                         return job
 
+            job_id = uuid.uuid4().hex[:12]
             job = Job(
-                job_id=uuid.uuid4().hex[:12],
+                job_id=job_id,
                 request=request,
                 sweep_key=sweep_key,
-                directory=self.jobs_root / "pending",
+                directory=self.jobs_root / job_id,
                 client=client,
                 submitted_at=time.time(),
+                deduped=fully_cached,
                 idempotency_key=key,
             )
-            job.directory = self.jobs_root / job.job_id
             job.directory.mkdir(parents=True, exist_ok=True)
             (job.directory / "request.json").write_text(
                 json.dumps(payload, indent=2, sort_keys=True)
@@ -469,7 +487,6 @@ class JobManager:
                 cells=len(request.specs),
                 submitted_at=job.submitted_at,
             )
-            job.deduped = fully_cached
             self._register(job)
 
         if job.deduped:
@@ -508,13 +525,7 @@ class JobManager:
 
     def _job_for_key(self, key: str) -> Optional[Job]:
         with self._lock:
-            job_id = self._idempotency.get(key)
-            if job_id is None:
-                return None
-            job = self._jobs.get(job_id)
-            if job is None:  # reaped since; the key no longer redeems
-                self._idempotency.pop(key, None)
-            return job
+            return self._jobs.get(self._idempotency.get(key, ""))
 
     def _bucket_for(self, client: str) -> TokenBucket:
         with self._lock:
@@ -545,74 +556,66 @@ class JobManager:
 
     def _run_inline(self, job: Job) -> None:
         """Serve a fully-cached job in the submitting thread."""
-        with job.lock:
-            job.state = JobState.RUNNING
-            job.started_at = time.time()
+        if not self._start(job):
+            return
         self.journal.record(job.job_id, "running", started_at=job.started_at)
         try:
-            report = run_sweep(
+            _sweep_to_disk(
+                job.directory,
                 list(job.request.specs),
-                jobs=1,
-                cache=self.cache,
-                registry=self.registry,
-                keep_going=job.request.options.keep_going,
-                journal=SweepJournal(job.journal_path),
-                status_path=job.status_path,
-            )
-            payload = report_payload(report)
-            tmp = job.directory / "result.json.tmp"
-            tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
-            os.replace(tmp, job.result_path)
-            with job.lock:
-                job.state = JobState.FINISHED
-                job.finished_at = time.time()
-            self.journal.record(
-                job.job_id, "finished", finished_at=job.finished_at
+                SweepOptions(keep_going=job.request.options.keep_going),
+                self.cache,
+                self.registry,
             )
         except Exception as error:
-            with job.lock:
-                job.state = JobState.FAILED
-                job.error = f"{type(error).__name__}: {error}"
-                job.finished_at = time.time()
-            self.journal.record(
-                job.job_id,
-                "failed",
-                error=job.error,
-                finished_at=job.finished_at,
-            )
+            self._settle(job, JobState.FAILED, f"{type(error).__name__}: {error}")
+        else:
+            self._settle(job, JobState.FINISHED)
+
+    def _start(self, job: Job) -> bool:
+        """QUEUED -> RUNNING, or False when cancel() caught (and settled) it."""
+        with job.lock:
+            if job.cancel_event.is_set():
+                return False
+            job.state = JobState.RUNNING
+            job.started_at = time.time()
+        return True
+
+    def _settle(self, job: Job, state: str, error: Optional[str] = None) -> None:
+        """Move ``job`` to the terminal ``state``: the only way a job ends.
+
+        A failed or cancelled job's status snapshot says so (the sweep's
+        own snapshot cannot: it never finished), and the transition is
+        journaled last.
+        """
+        with job.lock:
+            job.state = state
+            job.finished_at = time.time()
+            job.error = error
+            job.process = None
+        extra: dict = {"finished_at": job.finished_at}
+        if state != JobState.FINISHED:
+            status = {"state": state}
+            if error is not None:
+                status["error"] = extra["error"] = error
+            write_status(job.status_path, status)
+        if state == JobState.FAILED:
+            self.registry.counter("service.jobs_failed").inc()
+        self.journal.record(job.job_id, state, **extra)
 
     # -- worker side -----------------------------------------------------------
 
     def _worker_loop(self) -> None:
-        while True:
-            job = self._queue.get()
-            if job is None:  # shutdown sentinel
-                self._queue.task_done()
-                return
-            try:
-                self._run_job(job)
-            finally:
-                self._queue.task_done()
+        for job in iter(self._queue.get, None):  # None: the shutdown sentinel
+            self._run_job(job)
 
     def _run_job(self, job: Job) -> None:
-        with job.lock:
-            if job.cancel_event.is_set():
-                # cancel() already journalled the queued->cancelled flip.
-                job.state = JobState.CANCELLED
-                if job.finished_at is None:
-                    job.finished_at = time.time()
-                return
-            job.state = JobState.RUNNING
-            job.started_at = time.time()
+        if not self._start(job):
+            return
         if self._start_gate is not None:
             self._start_gate.wait()
         if job.cancel_event.is_set():
-            with job.lock:
-                job.state = JobState.CANCELLED
-                job.finished_at = time.time()
-            self.journal.record(
-                job.job_id, "cancelled", finished_at=job.finished_at
-            )
+            self._settle(job, JobState.CANCELLED)
             return
 
         parent_conn, child_conn = self._mp.Pipe(duplex=False)
@@ -643,72 +646,35 @@ class JobManager:
         )
 
         outcome: Optional[dict] = None
-        while True:
-            if job.cancel_event.is_set():
-                process.terminate()
-                process.join(timeout=10.0)
-                with job.lock:
-                    job.state = JobState.CANCELLED
-                    job.finished_at = time.time()
-                    job.process = None
-                parent_conn.close()
-                write_status(job.status_path, {"state": JobState.CANCELLED})
-                self.journal.record(
-                    job.job_id, "cancelled", finished_at=job.finished_at
-                )
-                return
+        while not job.cancel_event.is_set():
+            # Liveness is read before the poll, so a child that has exited
+            # still gets one: it may have sent between our checks.
+            exited = not process.is_alive()
             if parent_conn.poll(timeout=0.1):
                 try:
                     outcome = parent_conn.recv()
                 except EOFError:
-                    outcome = None
+                    pass
                 break
-            if not process.is_alive():
-                # One last poll: the child may have sent and exited between
-                # our checks.
-                if parent_conn.poll(timeout=0.1):
-                    try:
-                        outcome = parent_conn.recv()
-                    except EOFError:
-                        outcome = None
+            if exited:
                 break
+        if outcome is None:  # cancelled, or the child died without a word
+            process.terminate()
         process.join(timeout=10.0)
         parent_conn.close()
 
-        # Fold the child's metrics in BEFORE publishing a terminal state:
-        # a client that polls to completion and immediately scrapes
-        # /metrics must see this sweep's counters.
-        if outcome is not None and outcome.get("metrics"):
+        if outcome is not None:
+            # Fold the child's metrics in BEFORE publishing a terminal state:
+            # a client that polls to completion and immediately scrapes
+            # /metrics must see this sweep's counters.
             self.registry.merge_snapshot(outcome["metrics"])
-        with job.lock:
-            job.process = None
-            job.finished_at = time.time()
-            if outcome is None:
-                job.state = JobState.FAILED
-                job.error = (
-                    f"sweep process died (exit code {process.exitcode})"
-                )
-            elif outcome.get("ok"):
-                job.state = JobState.FINISHED
-            else:
-                job.state = JobState.FAILED
-                job.error = outcome.get("error", "sweep failed")
-        if job.state == JobState.FAILED:
-            self.registry.counter("service.jobs_failed").inc()
-            write_status(
-                job.status_path,
-                {"state": JobState.FAILED, "error": job.error},
-            )
-            self.journal.record(
-                job.job_id,
-                "failed",
-                error=job.error,
-                finished_at=job.finished_at,
-            )
+            state = JobState.FINISHED if outcome["ok"] else JobState.FAILED
+            self._settle(job, state, outcome.get("error"))
+        elif job.cancel_event.is_set():
+            self._settle(job, JobState.CANCELLED)
         else:
-            self.journal.record(
-                job.job_id, "finished", finished_at=job.finished_at
-            )
+            error = f"sweep process died (exit code {process.exitcode})"
+            self._settle(job, JobState.FAILED, error)
 
     # -- crash recovery --------------------------------------------------------
 
@@ -762,55 +728,44 @@ class JobManager:
                 state = record.get("state")
                 if state in _DROPPED_STATES:
                     continue
-                if state in JobState.TERMINAL:
-                    finished = record.get("finished_at")
-                    if not isinstance(finished, (int, float)):
-                        finished = record.get("ts", now)
-                    if (
-                        self.job_ttl is not None
-                        and self.job_ttl > 0
-                        and now - float(finished) > self.job_ttl
-                    ):
-                        continue  # expired while down; falls out on compact
-                    job, _ = self._rebuild_job(job_id, record)
-                    with job.lock:
-                        job.state = state
-                        job.finished_at = float(finished)
-                        started = record.get("started_at")
-                        if isinstance(started, (int, float)):
-                            job.started_at = float(started)
-                        error = record.get("error")
-                        if isinstance(error, str):
-                            job.error = error
-                    live[job_id] = dict(record)
-                    restored.append(job)
-                    continue
-                # submitted/queued/running: the crash interrupted this job.
-                # Reap regardless of the merged state — a "running" append
-                # can race a "queued" one, but the pid fields survive the
-                # merge either way (no-op when the record has no pid).
-                orphans += self._reap_orphan(job_id, record)
-                job, problem = self._rebuild_job(job_id, record)
-                if problem is not None:
-                    with job.lock:
-                        job.state = JobState.FAILED
-                        job.error = problem
-                        job.finished_at = now
-                    failed = dict(record)
-                    failed.update(
-                        state="failed", error=problem, finished_at=now
-                    )
-                    live[job_id] = failed
-                    restored.append(job)
-                    continue
+                if state not in JobState.TERMINAL:
+                    # submitted/queued/running: the crash interrupted this job.
+                    # Reap regardless of the merged state — a "running" append
+                    # can race a "queued" one, but the pid fields survive the
+                    # merge either way (no-op when the record has no pid).
+                    orphans += self._reap_orphan(job_id, record)
+                    job, problem = self._rebuild_job(job_id, record)
+                    if problem is None:
+                        requeued_record = dict(record, state="queued")
+                        requeued_record.pop("pid", None)
+                        requeued_record.pop("pid_start", None)
+                        live[job_id] = requeued_record
+                        requeue.append(job)
+                        continue
+                    # Its request no longer parses: restore it as FAILED.
+                    state = JobState.FAILED
+                    record = dict(record, state=state, error=problem, finished_at=now)
+                finished = record.get("finished_at")
+                if not isinstance(finished, (int, float)):
+                    finished = record.get("ts", now)
+                if (
+                    self.job_ttl is not None
+                    and self.job_ttl > 0
+                    and now - float(finished) > self.job_ttl
+                ):
+                    continue  # expired while down; falls out on compact
+                job, _ = self._rebuild_job(job_id, record)
                 with job.lock:
-                    job.state = JobState.QUEUED
-                requeued_record = dict(record)
-                requeued_record["state"] = "queued"
-                requeued_record.pop("pid", None)
-                requeued_record.pop("pid_start", None)
-                live[job_id] = requeued_record
-                requeue.append(job)
+                    job.state = state
+                    job.finished_at = float(finished)
+                    started = record.get("started_at")
+                    if isinstance(started, (int, float)):
+                        job.started_at = float(started)
+                    error = record.get("error")
+                    if isinstance(error, str):
+                        job.error = error
+                live[job_id] = dict(record)
+                restored.append(job)
             self.journal.compact(live)
             for job in restored:
                 self._register(job)
@@ -921,18 +876,12 @@ class JobManager:
         if job is None:
             return None
         with job.lock:
-            if job.state in JobState.TERMINAL:
-                return job
+            if job.state in JobState.TERMINAL or job.cancel_event.is_set():
+                return job  # ended, or a cancel is already settling it
             job.cancel_event.set()
-            cancelled_now = False
-            if job.state == JobState.QUEUED:
-                job.state = JobState.CANCELLED
-                job.finished_at = time.time()
-                cancelled_now = True
-        if cancelled_now:
-            self.journal.record(
-                job.job_id, "cancelled", finished_at=job.finished_at
-            )
+            queued = job.state == JobState.QUEUED
+        if queued:
+            self._settle(job, JobState.CANCELLED)
         self.registry.counter("service.jobs_cancelled").inc()
         return job
 
@@ -950,28 +899,12 @@ class JobManager:
                     and now - job.finished_at > self.job_ttl
                 ):
                     expired.append(self._jobs.pop(job_id))
+                    if self._idempotency.get(job.idempotency_key) == job_id:
+                        del self._idempotency[job.idempotency_key]
         for job in expired:
             self.registry.counter("service.jobs_expired").inc()
             self.journal.record(job.job_id, "expired")
-            if job.idempotency_key is not None:
-                with self._lock:
-                    if self._idempotency.get(job.idempotency_key) == job.job_id:
-                        self._idempotency.pop(job.idempotency_key, None)
-            for name in (
-                "request.json",
-                "status.json",
-                "journal.jsonl",
-                "result.json",
-                "spans.json",
-            ):
-                try:
-                    (job.directory / name).unlink()
-                except OSError:
-                    pass
-            try:
-                job.directory.rmdir()
-            except OSError:
-                pass
+            shutil.rmtree(job.directory, ignore_errors=True)
 
     @property
     def draining(self) -> bool:
@@ -1039,10 +972,7 @@ class JobManager:
             with self._lock:
                 jobs = list(self._jobs.values())
             for job in jobs:
-                with job.lock:
-                    terminal = job.state in JobState.TERMINAL
-                if not terminal:
-                    self.cancel(job.job_id)
+                self.cancel(job.job_id)  # a no-op on terminal jobs
         for _ in self._workers:
             try:
                 self._queue.put_nowait(None)

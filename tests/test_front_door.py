@@ -7,6 +7,9 @@ pipeline is built only by the core engine and the stage profiler, and a
 run feeds its whole trace once.  These checks read the source's syntax
 tree, so a new private feed loop, or a second feed-and-merge path, fails
 here rather than drifting from the sweep engine unnoticed.
+
+The service has the same shape one level up: one ``run_sweep`` call runs
+every job, and one settle step ends it.
 """
 
 from __future__ import annotations
@@ -132,3 +135,56 @@ def test_inline_and_worker_attempts_share_one_function():
         assert not {"run", "fire_worker_faults", "collect_manifest"} & calls, (
             f"{module}:{function} re-implements part of an attempt"
         )
+
+
+#: The only functions in ``service/`` that may set a job's state to anything
+#: but QUEUED or RUNNING: the settle step, and journal replay restoring
+#: terminal records.
+TERMINAL_STATE_SETTERS = {"_settle", "recover", "_rebuild_job"}
+
+
+def _state_assignments(node: ast.AST, function: str, found: list) -> None:
+    """Collect (innermost enclosing function, value) of each ``x.state = ...``."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    if isinstance(node, ast.Assign):
+        for target in node.targets:
+            if isinstance(target, ast.Attribute) and target.attr == "state":
+                found.append((function, node.value))
+    for child in ast.iter_child_nodes(node):
+        _state_assignments(child, function, found)
+
+
+def _service_trees() -> Dict[str, ast.AST]:
+    return {
+        module: tree
+        for module, tree in _trees().items()
+        if module.startswith("service/")
+    }
+
+
+def test_the_service_calls_run_sweep_once():
+    calls = [
+        module
+        for module, tree in _service_trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _called_name(node) == "run_sweep"
+    ]
+    assert calls == ["service/jobs.py"], calls
+
+
+def test_only_the_settle_step_ends_a_job():
+    found: list = []
+    for tree in _service_trees().values():
+        _state_assignments(tree, "<module>", found)
+    assert "_settle" in {function for function, _value in found}
+    strays = [
+        (function, ast.unparse(value))
+        for function, value in found
+        if function not in TERMINAL_STATE_SETTERS
+        and not (
+            isinstance(value, ast.Attribute)
+            and value.attr in ("QUEUED", "RUNNING")
+        )
+    ]
+    assert not strays, strays

@@ -21,6 +21,8 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro.cli import main
+from repro.obs.telemetry import read_status
 from repro.runner.sweep import run_sweep
 from repro.service import (
     JobManager,
@@ -448,3 +450,114 @@ class TestManagerUnits:
         finally:
             gate.set()
             manager.shutdown(cancel_running=True)
+
+
+# -- one settle step: every terminal path leaves the same traces ---------------
+
+
+def wait_for(job, state, timeout=60.0):
+    deadline = time.monotonic() + timeout
+    while job.state != state:
+        assert time.monotonic() < deadline, f"job {job.job_id} still {job.state}"
+        time.sleep(0.01)
+    return job
+
+
+@contextmanager
+def gated_manager(tmp_path, **kwargs):
+    """A one-worker manager whose worker holds each job at the start gate."""
+    gate = threading.Event()
+    manager = JobManager(
+        tmp_path / "svc", workers=1, start_gate=gate, recover=False, **kwargs
+    )
+    try:
+        yield manager, gate
+    finally:
+        gate.set()
+        manager.shutdown(cancel_running=True)
+
+
+class TestSettle:
+    def test_cancelled_queued_job_status_reads_cancelled(self, tmp_path):
+        with gated_manager(tmp_path) as (manager, _gate):
+            wait_for(manager.submit(doc("dir0b")), JobState.RUNNING)
+            queued = manager.submit(doc("dragon"))
+            assert queued.state == JobState.QUEUED
+            manager.cancel(queued.job_id)
+            assert queued.state == JobState.CANCELLED
+            assert read_status(queued.status_path)["state"] == "cancelled"
+
+    def test_cancelled_job_at_the_gate_status_reads_cancelled(self, tmp_path):
+        with gated_manager(tmp_path) as (manager, gate):
+            job = wait_for(manager.submit(doc("dir0b")), JobState.RUNNING)
+            manager.cancel(job.job_id)
+            manager.cancel(job.job_id)  # a repeat is not a second cancellation
+            gate.set()
+            wait_for(job, JobState.CANCELLED)
+            assert read_status(job.status_path)["state"] == "cancelled"
+            assert job.process is None
+            assert manager.registry.counter("service.jobs_cancelled").value == 1
+
+    def test_failed_deduped_job_counts_and_writes_its_status(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.service.jobs as jobs
+
+        manager = JobManager(tmp_path / "svc", recover=False)
+        try:
+            wait_for(manager.submit(doc("dir0b")), JobState.FINISHED)
+
+            def broken(*args, **kwargs):
+                raise OSError("disk on fire")
+
+            monkeypatch.setattr(jobs, "run_sweep", broken)
+            job = manager.submit(doc("dir0b"))
+            assert job.deduped and job.state == JobState.FAILED
+            assert job.error == "OSError: disk on fire"
+            assert manager.registry.counter("service.jobs_failed").value == 1
+            status = read_status(job.status_path)
+            assert status["state"] == "failed"
+            assert status["error"] == "OSError: disk on fire"
+        finally:
+            manager.shutdown()
+
+    def test_reaper_removes_a_directory_holding_a_stray_tmp(self, tmp_path):
+        manager = JobManager(tmp_path / "svc", recover=False)
+        try:
+            job = wait_for(manager.submit(doc("dir0b")), JobState.FINISHED)
+            # What a write cut short by terminate() or kill -9 leaves behind.
+            (job.directory / "status.json.123.tmp").write_text("{")
+            manager.job_ttl = 0.05
+            time.sleep(0.1)
+            assert manager.get(job.job_id) is None
+            assert not job.directory.exists()
+        finally:
+            manager.shutdown()
+
+
+class TestLimitsFailFast:
+    @pytest.mark.parametrize(
+        "limits, message",
+        [
+            ({"burst": 0}, "burst must be >= 1"),
+            ({"rate_per_sec": -1.0}, "rate must be >= 0"),
+        ],
+    )
+    def test_bad_limit_rejected_at_construction(self, tmp_path, limits, message):
+        with pytest.raises(ValueError, match=message):
+            JobManager(tmp_path / "svc", recover=False, **limits)
+
+    def test_serve_with_zero_burst_exits_2_before_binding(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import repro.service
+
+        def bind(*args, **kwargs):
+            raise AssertionError("serve bound a port despite a bad limit")
+
+        monkeypatch.setattr(repro.service, "run_service", bind)
+        status = main(
+            ["--cache-dir", str(tmp_path / "svc"), "serve", "--burst", "0"]
+        )
+        assert status == 2
+        assert "serve: burst must be >= 1, got 0" in capsys.readouterr().err
