@@ -16,15 +16,13 @@ import math
 import os
 import time
 
-import pytest
-
 from conftest import RESULTS_DIR
 
 from repro.core.pipeline import ReferencePipeline
 from repro.core.simulator import simulate
 from repro.obs import MetricsRegistry
 from repro.protocols import create_protocol
-from repro.trace import materialize, standard_trace
+from repro.trace import PackedTrace, materialize, standard_trace
 from repro.trace.record import AccessType
 
 _TRACE_LENGTH_SCALE = 1.0 / 256.0  # ~12k references
@@ -72,9 +70,6 @@ def _counters_signature(result):
 
 def test_simulator_throughput_dir0b_fast_backend(benchmark):
     """Time the table-driven backend — after proving it changes nothing."""
-    pytest.importorskip("numpy")
-    from repro.trace.packed import PackedTrace
-
     trace = _materialized_pops()
     packed = PackedTrace.from_records(trace)
     reference = simulate(create_protocol("dir0b", 4), trace)
@@ -164,18 +159,14 @@ def test_emit_bench_simulator_json(save_result):
             f"{refs_per_sec:12,.0f} refs/sec"
         )
 
-    try:
-        from repro.trace.packed import PackedTrace
-    except ImportError:  # pragma: no cover - no-numpy environment
-        PackedTrace = None
-    if PackedTrace is not None:
-        # Backend comparison on the packed trace: counter equality is
-        # asserted before any timing claim is recorded.
-        packed = PackedTrace.from_records(trace)
+    # Backend comparison on the same trace as a record list and packed:
+    # counter equality is asserted before any timing claim is recorded.
+    for form, source in (
+        ("records", trace),
+        ("packed", PackedTrace.from_records(trace)),
+    ):
         runs = {
-            backend: simulate(
-                create_protocol("dir0b", 4), packed, backend=backend
-            )
+            backend: simulate(create_protocol("dir0b", 4), source, backend=backend)
             for backend in ("reference", "fast")
         }
         assert _counters_signature(runs["fast"]) == _counters_signature(
@@ -183,21 +174,23 @@ def test_emit_bench_simulator_json(save_result):
         )
         rates = {}
         for backend in ("reference", "fast"):
-            timer = registry.timer(f"simulate.packed.{backend}.seconds")
+            timer = registry.timer(f"simulate.{form}.{backend}.seconds")
             for _ in range(_REPEATS):
                 with timer.time():
-                    simulate(create_protocol("dir0b", 4), packed, backend=backend)
-            rates[backend] = len(packed) * timer.count / timer.total_seconds
-            registry.gauge(f"simulate.packed.{backend}.refs_per_sec").set(
+                    simulate(create_protocol("dir0b", 4), source, backend=backend)
+            rates[backend] = len(trace) * timer.count / timer.total_seconds
+            registry.gauge(f"simulate.{form}.{backend}.refs_per_sec").set(
                 rates[backend]
             )
             lines.append(
-                f"packed/{backend:<9} {timer.mean_seconds * 1e3:8.2f}ms/run  "
+                f"{form}/{backend:<9} {timer.mean_seconds * 1e3:8.2f}ms/run  "
                 f"{rates[backend]:12,.0f} refs/sec"
             )
         speedup = rates["fast"] / rates["reference"]
-        registry.gauge("simulate.packed.fast.speedup").set(speedup)
-        lines.append(f"fast backend speedup: {speedup:.1f}x (bit-identical)")
+        registry.gauge(f"simulate.{form}.fast.speedup").set(speedup)
+        lines.append(
+            f"fast backend speedup on {form}: {speedup:.1f}x (bit-identical)"
+        )
 
     generate = registry.timer("trace.generate.seconds")
     with generate.time():

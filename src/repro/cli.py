@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="reference",
         help=(
             "simulation backend: the per-reference loop, or the table-driven "
-            "fast backend (bit-identical counters; needs numpy)"
+            "fast backend (bit-identical counters)"
         ),
     )
     parser.add_argument(
@@ -632,29 +632,10 @@ def _jobs(args: argparse.Namespace) -> int:
     return args.jobs
 
 
-def _backend(args: argparse.Namespace) -> str:
-    """The validated ``--backend`` choice.
-
-    The fast backend's packed-trace kernel needs numpy; requesting it in an
-    environment without the optional extra is a usage error rather than a
-    silent slow path.
-    """
-    backend = getattr(args, "backend", "reference")
-    if backend == "fast":
-        from .core.fastsim import HAS_NUMPY
-
-        if not HAS_NUMPY:
-            raise UsageError(
-                "--backend fast requires numpy; install the optional extra "
-                "(pip install 'repro[fast]') or use --backend reference"
-            )
-    return backend
-
-
 def _comparison(args: argparse.Namespace, schemes=PAPER_CORE_SCHEMES):
     """Run the standard grid through the sweep runner (jobs/cache honoured)."""
     try:
-        specs = sweep_grid(tuple(schemes), scale=_scale(args), backend=_backend(args))
+        specs = sweep_grid(tuple(schemes), scale=_scale(args), backend=args.backend)
     except ValueError as error:
         raise UsageError(f"{args.command}: {error}") from error
     return _run_grid(args, specs).comparison()
@@ -841,7 +822,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             block_sizes=tuple(args.block_sizes),
             geometries=tuple(args.geometries),
             sharing_models=tuple(SharingModel(value) for value in args.sharing),
-            backend=_backend(args),
+            backend=args.backend,
             characterizations=tuple(args.characterization),
         )
     except ValueError as error:
@@ -915,7 +896,7 @@ def _cmd_finite(args: argparse.Namespace) -> None:
             scale=_scale(args),
             n_caches=args.n_caches,
             geometries=tuple(args.geometries),
-            backend=_backend(args),
+            backend=args.backend,
         )
     except ValueError as error:
         raise UsageError(f"finite: {error}") from error

@@ -56,7 +56,7 @@ def make_pipeline(
     if backend == "reference":
         return ReferencePipeline(protocol, **kwargs)
     if backend == "fast":
-        from .fastsim import FastPipeline  # deferred: optional-numpy probing
+        from .fastsim import FastPipeline
 
         return FastPipeline(protocol, **kwargs)
     raise ValueError(

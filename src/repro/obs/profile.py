@@ -182,11 +182,13 @@ def profile_spec(
     pipeline._access = timed_access
 
     counters = _TimedCounters(timers[STAGE_COUNTERS])
-    records = _timed_records(spec.build_trace(), timers[STAGE_TRACE])
     wall = registry.timer("profile.wall")
     wall_before = wall.total_seconds
     with wall.time():
-        pipeline.feed(records, counters)
+        # Generation is eager; iterating the result builds each record.
+        with timers[STAGE_TRACE].time():
+            trace = spec.build_trace()
+        pipeline.feed(_timed_records(trace, timers[STAGE_TRACE]), counters)
     result = pipeline.result(spec.trace, counters)
 
     return ProfileReport(

@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .._version import __version__ as PACKAGE_VERSION
 from ..characterization import Characterization, load_characterization
@@ -38,7 +38,8 @@ from ..protocols.registry import (
     create_protocol,
     unknown_protocol_message,
 )
-from ..trace.record import DEFAULT_BLOCK_SIZE, TraceRecord
+from ..trace.packed import PackedTrace
+from ..trace.record import DEFAULT_BLOCK_SIZE
 from ..trace.stream import SharingModel
 from ..trace.synthetic import SyntheticWorkload, WorkloadProfile
 from ..trace.workloads import DEFAULT_SCALE, standard_profile, standard_trace_names
@@ -150,8 +151,8 @@ class RunSpec:
         """The fully resolved workload profile this spec simulates."""
         return standard_profile(self.trace, scale=self.scale, seed=self.seed)
 
-    def build_trace(self) -> Iterable[TraceRecord]:
-        return SyntheticWorkload(self.profile()).records()
+    def build_trace(self) -> PackedTrace:
+        return SyntheticWorkload(self.profile()).packed()
 
     def build_protocol(self) -> CoherenceProtocol:
         return create_protocol(self.protocol, self.n_caches)

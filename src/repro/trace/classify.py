@@ -33,7 +33,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Set
 
-from .record import DEFAULT_BLOCK_SIZE, AccessType, TraceRecord
+from .record import DEFAULT_BLOCK_SIZE, AccessType, TraceRecord, check_block_size
 
 __all__ = ["BlockClass", "BlockProfile", "SharingProfile", "classify_blocks"]
 
@@ -137,6 +137,7 @@ def classify_blocks(
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> Dict[int, BlockProfile]:
     """One-pass per-block access profiling (data references only)."""
+    check_block_size(block_size)
     profiles: Dict[int, BlockProfile] = {}
     for record in trace:
         if record.access is AccessType.INSTR:

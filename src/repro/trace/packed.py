@@ -1,118 +1,101 @@
-"""Column-packed traces: full-scale runs without per-record objects.
+"""Column-packed traces: the one form a trace takes from generator to kernel.
 
 A full-length paper trace is ~3.2M references; as Python objects that is
 hundreds of megabytes and a lot of allocator churn.  :class:`PackedTrace`
-stores the same information as five NumPy columns (~45 MB at full scale),
-iterates back into :class:`~repro.trace.record.TraceRecord` objects on
-demand, and round-trips through a compressed ``.npz`` file — convenient for
-generating a full-scale trace once and replaying it across many protocol
-runs.
+stores the same information as five standard-library :class:`array.array`
+columns, 16 bytes per reference (~51 MB for a full-scale trace).  The
+synthetic generator appends straight into them, the fast backend decodes
+them in batches, and iterating one yields
+:class:`~repro.trace.record.TraceRecord` objects on demand for everything
+that consumes records.
 
-NumPy is an optional dependency of the library: importing this module
-without it raises a clear error, and nothing else in the package depends
-on it.
+The columns round-trip through a compressed NumPy ``.npz`` file
+(:meth:`PackedTrace.save` / :meth:`PackedTrace.load`); those two methods
+are the only part of the package that needs numpy.
 """
 
 from __future__ import annotations
 
+from array import array
 from pathlib import Path
 from typing import Iterable, Iterator, Union
 
-try:
-    import numpy as _np
-except ImportError as exc:  # pragma: no cover - environment without numpy
-    raise ImportError(
-        "repro.trace.packed requires numpy; install it or use the plain "
-        "record iterators"
-    ) from exc
+from .record import AccessType, TraceRecord, check_block_size
 
-from .record import AccessType, TraceRecord
-
-__all__ = ["PackedTrace"]
+__all__ = ["FLAG_OS", "FLAG_SPIN", "PackedTrace"]
 
 PathLike = Union[str, Path]
 
-_FLAG_SPIN = 0x1
-_FLAG_OS = 0x2
+#: Bits of the ``flags`` column.
+FLAG_SPIN = 0x1
+FLAG_OS = 0x2
+
+#: Column name -> array typecode: 2 + 4 + 1 + 8 + 1 = 16 bytes a reference.
+_COLUMNS = (
+    ("cpu", "H"),
+    ("pid", "I"),
+    ("access", "B"),
+    ("address", "Q"),
+    ("flags", "B"),
+)
+
+_ACCESS_BY_CODE = tuple(AccessType)
 
 
-def _as_column(name: str, values, dtype) -> "_np.ndarray":
-    """Convert one column to its packed dtype, rejecting lossy narrowing.
+def _column(name: str, typecode: str, values) -> array:
+    """``values`` as a ``typecode`` array; a clear error if one does not fit."""
+    try:
+        return array(typecode, values)
+    except OverflowError as exc:
+        raise ValueError(f"{name} column value out of range: {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"{name} column must hold integers: {exc}") from None
 
-    ``np.asarray(values, dtype=...)`` would silently wrap out-of-range
-    values on some NumPy versions (a ``cpu`` of 65536 becoming 0) and raise
-    an opaque ``OverflowError`` on others, and dtype *inference* on a plain
-    list silently promotes mixed-magnitude integers to ``float64``
-    (``[0, 2**63]`` loses low bits).  Validating here turns all of those
-    into one clear ``ValueError`` at construction time and keeps every
-    in-range integer exact.
-    """
-    info = _np.iinfo(dtype)
 
-    def _out_of_range(lo, hi):
-        return ValueError(
-            f"{name} column value out of range for {_np.dtype(dtype).name}: "
-            f"saw [{lo}, {hi}], representable [0, {int(info.max)}]"
-        )
-
-    if isinstance(values, _np.ndarray):
-        if values.dtype == dtype:
-            return values
-        if values.size:
-            if not _np.issubdtype(values.dtype, _np.integer):
-                raise ValueError(
-                    f"{name} column must hold integers, got dtype {values.dtype}"
-                )
-            lo, hi = int(values.min()), int(values.max())
-            if lo < 0 or hi > int(info.max):
-                raise _out_of_range(lo, hi)
-        return values.astype(dtype)
-
-    # Plain sequence: validate in Python so numpy's inference never sees it.
-    checked = []
-    for value in values:
-        if not isinstance(value, (int, _np.integer)):
-            raise ValueError(
-                f"{name} column must hold integers, got {type(value).__name__}"
-            )
-        checked.append(int(value))
-    if checked:
-        lo, hi = min(checked), max(checked)
-        if lo < 0 or hi > int(info.max):
-            raise _out_of_range(lo, hi)
-    return _np.asarray(checked, dtype=dtype)
+def _record(cpu: int, pid: int, access: int, address: int, flag: int):
+    """One reference's column values as a :class:`TraceRecord`."""
+    return TraceRecord(
+        cpu,
+        pid,
+        _ACCESS_BY_CODE[access],
+        address,
+        bool(flag & FLAG_SPIN),
+        bool(flag & FLAG_OS),
+    )
 
 
 class PackedTrace:
-    """An immutable, column-oriented container of trace records."""
+    """A column-oriented container of trace records."""
 
-    __slots__ = ("cpu", "pid", "access", "address", "flags")
+    __slots__ = tuple(name for name, _ in _COLUMNS)
 
     def __init__(self, cpu, pid, access, address, flags) -> None:
-        lengths = {len(cpu), len(pid), len(access), len(address), len(flags)}
+        for (name, typecode), values in zip(
+            _COLUMNS, (cpu, pid, access, address, flags)
+        ):
+            setattr(self, name, _column(name, typecode, values))
+        lengths = {len(getattr(self, name)) for name in self.__slots__}
         if len(lengths) != 1:
             raise ValueError(f"column lengths differ: {sorted(lengths)}")
-        self.cpu = _as_column("cpu", cpu, _np.uint16)
-        self.pid = _as_column("pid", pid, _np.uint32)
-        self.access = _as_column("access", access, _np.uint8)
-        self.address = _as_column("address", address, _np.uint64)
-        self.flags = _as_column("flags", flags, _np.uint8)
 
     # -- construction ---------------------------------------------------------
 
     @classmethod
     def from_records(cls, records: Iterable[TraceRecord]) -> "PackedTrace":
-        cpu, pid, access, address, flags = [], [], [], [], []
+        trace = cls((), (), (), (), ())
+        cpu, pid = trace.cpu.append, trace.pid.append
+        access, address = trace.access.append, trace.address.append
+        flags = trace.flags.append
         for record in records:
-            cpu.append(record.cpu)
-            pid.append(record.pid)
-            access.append(int(record.access))
-            address.append(record.address)
-            flags.append(
-                (_FLAG_SPIN if record.is_lock_spin else 0)
-                | (_FLAG_OS if record.is_os else 0)
+            cpu(record.cpu)
+            pid(record.pid)
+            access(record.access)
+            address(record.address)
+            flags(
+                (FLAG_SPIN if record.is_lock_spin else 0)
+                | (FLAG_OS if record.is_os else 0)
             )
-        return cls(cpu, pid, access, address, flags)
+        return trace
 
     # -- container protocol ---------------------------------------------------
 
@@ -120,87 +103,67 @@ class PackedTrace:
         return len(self.cpu)
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        cpu, pid = self.cpu, self.pid
-        access, address, flags = self.access, self.address, self.flags
-        for index in range(len(cpu)):
-            flag = int(flags[index])
-            yield TraceRecord(
-                cpu=int(cpu[index]),
-                pid=int(pid[index]),
-                access=AccessType(int(access[index])),
-                address=int(address[index]),
-                is_lock_spin=bool(flag & _FLAG_SPIN),
-                is_os=bool(flag & _FLAG_OS),
-            )
+        return map(_record, self.cpu, self.pid, self.access, self.address, self.flags)
 
     def __getitem__(self, index) -> Union[TraceRecord, "PackedTrace"]:
+        columns = (self.cpu, self.pid, self.access, self.address, self.flags)
         if isinstance(index, slice):
-            return PackedTrace(
-                self.cpu[index],
-                self.pid[index],
-                self.access[index],
-                self.address[index],
-                self.flags[index],
-            )
-        flag = int(self.flags[index])
-        return TraceRecord(
-            cpu=int(self.cpu[index]),
-            pid=int(self.pid[index]),
-            access=AccessType(int(self.access[index])),
-            address=int(self.address[index]),
-            is_lock_spin=bool(flag & _FLAG_SPIN),
-            is_os=bool(flag & _FLAG_OS),
-        )
+            return PackedTrace(*(column[index] for column in columns))
+        return _record(*(column[index] for column in columns))
 
-    # -- vectorised statistics -------------------------------------------------
+    # -- statistics -------------------------------------------------------------
 
     @property
     def nbytes(self) -> int:
         """In-memory footprint of the columns."""
         return sum(
-            column.nbytes
+            len(column) * column.itemsize
             for column in (self.cpu, self.pid, self.access, self.address, self.flags)
         )
 
     def instruction_count(self) -> int:
-        return int((self.access == int(AccessType.INSTR)).sum())
+        return self.access.count(AccessType.INSTR)
 
     def read_count(self) -> int:
-        return int((self.access == int(AccessType.READ)).sum())
+        return self.access.count(AccessType.READ)
 
     def write_count(self) -> int:
-        return int((self.access == int(AccessType.WRITE)).sum())
+        return self.access.count(AccessType.WRITE)
 
     def spin_count(self) -> int:
-        return int((self.flags & _FLAG_SPIN).astype(bool).sum())
+        return sum(1 for flag in self.flags if flag & FLAG_SPIN)
 
     def os_count(self) -> int:
-        return int((self.flags & _FLAG_OS).astype(bool).sum())
+        return sum(1 for flag in self.flags if flag & FLAG_OS)
 
     def distinct_data_blocks(self, block_size: int = 16) -> int:
-        data = self.access != int(AccessType.INSTR)
-        return len(_np.unique(self.address[data] // block_size))
+        check_block_size(block_size)
+        return len(
+            {
+                address // block_size
+                for access, address in zip(self.access, self.address)
+                if access != AccessType.INSTR
+            }
+        )
 
     # -- persistence ------------------------------------------------------------
 
     def save(self, path: PathLike) -> None:
-        """Write the columns to a compressed ``.npz`` file."""
-        _np.savez_compressed(
+        """Write the columns to a compressed ``.npz`` file (needs numpy)."""
+        import numpy as np
+
+        np.savez_compressed(
             path,
-            cpu=self.cpu,
-            pid=self.pid,
-            access=self.access,
-            address=self.address,
-            flags=self.flags,
+            **{
+                name: np.frombuffer(getattr(self, name), dtype=typecode)
+                for name, typecode in _COLUMNS
+            },
         )
 
     @classmethod
     def load(cls, path: PathLike) -> "PackedTrace":
-        with _np.load(path) as data:
-            return cls(
-                data["cpu"],
-                data["pid"],
-                data["access"],
-                data["address"],
-                data["flags"],
-            )
+        """Read a trace written by :meth:`save` (needs numpy)."""
+        import numpy as np
+
+        with np.load(path) as data:
+            return cls(*(data[name].tolist() for name, _ in _COLUMNS))

@@ -22,7 +22,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-__all__ = ["AccessType", "TraceRecord", "DEFAULT_BLOCK_SIZE", "block_of"]
+__all__ = [
+    "AccessType",
+    "TraceRecord",
+    "DEFAULT_BLOCK_SIZE",
+    "block_of",
+    "check_block_size",
+]
 
 #: Block size used throughout the paper: 4 words of 4 bytes (Section 4).
 DEFAULT_BLOCK_SIZE = 16
@@ -70,7 +76,7 @@ class TraceRecord:
 
     def block(self, block_size: int = DEFAULT_BLOCK_SIZE) -> int:
         """Return the block number this reference falls in."""
-        return self.address // block_size
+        return block_of(self.address, block_size)
 
     @property
     def is_instruction(self) -> bool:
@@ -85,8 +91,13 @@ class TraceRecord:
         return self.access is AccessType.WRITE
 
 
-def block_of(address: int, block_size: int = DEFAULT_BLOCK_SIZE) -> int:
-    """Map a byte address to its block number."""
+def check_block_size(block_size: int) -> None:
+    """Reject a block size that maps no address to a block."""
     if block_size <= 0:
         raise ValueError(f"block_size must be positive, got {block_size}")
+
+
+def block_of(address: int, block_size: int = DEFAULT_BLOCK_SIZE) -> int:
+    """Map a byte address to its block number."""
+    check_block_size(block_size)
     return address // block_size

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Set
 
-from .record import AccessType, DEFAULT_BLOCK_SIZE, TraceRecord
+from .record import AccessType, DEFAULT_BLOCK_SIZE, TraceRecord, check_block_size
 
 __all__ = ["TraceStats", "collect_stats"]
 
@@ -94,6 +94,7 @@ def collect_stats(
     Sharing is classified at process level (Section 4.4): a data block is
     *shared* if more than one process references it.
     """
+    check_block_size(block_size)
     total = instructions = reads = writes = user = system = spins = 0
     block_owner: Dict[int, int] = {}
     shared: Set[int] = set()

@@ -27,11 +27,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import islice, repeat
 from typing import Iterator, List, Optional, Sequence, Tuple
 
+from .packed import FLAG_OS, FLAG_SPIN, PackedTrace
 from .record import AccessType, TraceRecord
 
 __all__ = ["Region", "WorkloadProfile", "SyntheticWorkload", "generate_trace"]
+
+#: One reference as a process emits it: ``(access code, address, flags)``;
+#: the scheduler adds the CPU and pid when it appends it to the trace.
+Ref = Tuple[int, int, int]
+
+_INSTR, _READ, _WRITE = (int(kind) for kind in AccessType)
 
 
 @dataclass(frozen=True)
@@ -288,50 +296,34 @@ class _Process:
         self._instr_cursor = 0
         self._activities = self._build_activity_table()
 
-    # -- record constructors -------------------------------------------------
+    # -- reference constructors -----------------------------------------------
 
-    def _rec(
-        self,
-        access: AccessType,
-        address: int,
-        *,
-        spin: bool = False,
-        os: bool = False,
-    ) -> TraceRecord:
-        return TraceRecord(
-            cpu=self.cpu,
-            pid=self.pid,
-            access=access,
-            address=address,
-            is_lock_spin=spin,
-            is_os=os,
-        )
-
-    def _instr_fetch(self, os: bool = False) -> TraceRecord:
+    def _instr_fetch(self, flags: int) -> Ref:
         region = self.world.instr[self.pid]
         address = region.block_address(self._instr_cursor % region.n_blocks)
         self._instr_cursor += 1
-        return self._rec(AccessType.INSTR, address, os=os)
+        return (_INSTR, address, flags)
 
     def _data(
         self,
-        access: AccessType,
+        access: int,
         address: int,
         *,
         spin: bool = False,
         os: bool = False,
-    ) -> Iterator[TraceRecord]:
+    ) -> Iterator[Ref]:
         """A data access preceded by its instruction fetch(es)."""
-        yield self._instr_fetch(os=os)
+        os_flag = FLAG_OS if os else 0
+        yield self._instr_fetch(os_flag)
         extra = self.profile.extra_instr_per_data
         while extra > 0 and self.rng.random() < min(extra, 1.0):
-            yield self._instr_fetch(os=os)
+            yield self._instr_fetch(os_flag)
             extra -= 1.0
-        yield self._rec(access, address, spin=spin, os=os)
+        yield (access, address, os_flag | (FLAG_SPIN if spin else 0))
 
     # -- activities -----------------------------------------------------------
 
-    def _compute(self) -> Iterator[TraceRecord]:
+    def _compute(self) -> Iterator[Ref]:
         """Private work: uniform reads and writes over the private set.
 
         Blocks are usually read before they are first written, so each
@@ -345,25 +337,23 @@ class _Process:
         for _ in range(rng.randint(lo, hi)):
             address = region.random_block_address(rng)
             if rng.random() < self.profile.private_write_fraction:
-                yield from self._data(AccessType.WRITE, address)
+                yield from self._data(_WRITE, address)
             else:
-                yield from self._data(AccessType.READ, address)
+                yield from self._data(_READ, address)
 
-    def _shared_read(self) -> Iterator[TraceRecord]:
+    def _shared_read(self) -> Iterator[Ref]:
         lo, hi = self.profile.shared_read_burst
         region = self.world.shared_readonly
         for _ in range(self.rng.randint(lo, hi)):
-            yield from self._data(
-                AccessType.READ, region.random_block_address(self.rng)
-            )
+            yield from self._data(_READ, region.random_block_address(self.rng))
 
-    def _write_run(self, address: int) -> Iterator[TraceRecord]:
+    def _write_run(self, address: int) -> Iterator[Ref]:
         """One logical update: several consecutive writes into one block."""
         lo, hi = self.profile.shared_write_run
         for _ in range(self.rng.randint(lo, hi)):
-            yield from self._data(AccessType.WRITE, address)
+            yield from self._data(_WRITE, address)
 
-    def _migratory(self) -> Iterator[TraceRecord]:
+    def _migratory(self) -> Iterator[Ref]:
         """Read-modify-write of a shared record (migratory sharing).
 
         A minority of updates are *blind* (no read first — e.g. overwriting
@@ -375,17 +365,17 @@ class _Process:
         for _ in range(self.rng.randint(lo, hi)):
             address = region.hot_block_address(self.rng)
             if self.rng.random() < 0.7:
-                yield from self._data(AccessType.READ, address)
+                yield from self._data(_READ, address)
             yield from self._write_run(address)
 
-    def _produce(self) -> Iterator[TraceRecord]:
+    def _produce(self) -> Iterator[Ref]:
         """Write fresh values into this process's outgoing mailbox."""
         lo, hi = self.profile.mailbox_burst
         region = self.world.mailboxes[self.pid]
         for _ in range(self.rng.randint(lo, hi)):
             yield from self._write_run(region.hot_block_address(self.rng))
 
-    def _consume(self) -> Iterator[TraceRecord]:
+    def _consume(self) -> Iterator[Ref]:
         """Read the neighbouring process's mailbox.
 
         Consumption is pairwise (each process drains its ring neighbour),
@@ -398,11 +388,9 @@ class _Process:
         region = self.world.mailboxes[partner]
         lo, hi = self.profile.mailbox_burst
         for _ in range(self.rng.randint(lo, hi)):
-            yield from self._data(
-                AccessType.READ, region.hot_block_address(self.rng)
-            )
+            yield from self._data(_READ, region.hot_block_address(self.rng))
 
-    def _lock_activity(self) -> Iterator[TraceRecord]:
+    def _lock_activity(self) -> Iterator[Ref]:
         """Acquire a contended lock (spinning if held), work, release.
 
         Test-and-test-and-set: while the lock is held elsewhere the process
@@ -421,17 +409,17 @@ class _Process:
             if lock.holder is None or lock.holder == self.pid:
                 lock.holder = self.pid
                 break
-            yield from self._data(AccessType.READ, lock.address, spin=True)
+            yield from self._data(_READ, lock.address, spin=True)
         # The winning test observes the lock free, then test-and-sets it.
-        yield from self._data(AccessType.READ, lock.address, spin=True)
-        yield from self._data(AccessType.WRITE, lock.address)
+        yield from self._data(_READ, lock.address, spin=True)
+        yield from self._data(_WRITE, lock.address)
         lo, hi = self.profile.lock_hold_turns
         lock.hold_turns_left = self.rng.randint(lo, hi)
         # Critical section: read-modify-write the guarded data.
         cs_lo, cs_hi = self.profile.critical_section
         for _ in range(self.rng.randint(cs_lo, cs_hi)):
             address = lock.guarded.random_block_address(self.rng)
-            yield from self._data(AccessType.READ, address)
+            yield from self._data(_READ, address)
             if self.rng.random() < 0.4:
                 yield from self._write_run(address)
         # Hold across extra scheduler turns to lengthen contender spins.
@@ -442,16 +430,16 @@ class _Process:
             else:
                 yield from self._compute()
         # Release: write the lock word.
-        yield from self._data(AccessType.WRITE, lock.address)
+        yield from self._data(_WRITE, lock.address)
         lock.holder = None
 
-    def _barrier_activity(self) -> Iterator[TraceRecord]:
+    def _barrier_activity(self) -> Iterator[Ref]:
         """Arrive at the global barrier and spin until everyone has."""
         barrier = self.world.barrier
         generation = barrier.generation
         # Arrival: read-increment-write the counter.
-        yield from self._data(AccessType.READ, barrier.address)
-        yield from self._data(AccessType.WRITE, barrier.address)
+        yield from self._data(_READ, barrier.address)
+        yield from self._data(_WRITE, barrier.address)
         barrier.waiting += 1
         if barrier.waiting >= self.profile.processes:
             barrier.waiting = 0
@@ -459,7 +447,7 @@ class _Process:
             return
         spin_guard = 0
         while barrier.generation == generation:
-            yield from self._data(AccessType.READ, barrier.address, spin=True)
+            yield from self._data(_READ, barrier.address, spin=True)
             spin_guard += 1
             if spin_guard > 64:
                 # Other processes may never arrive (they draw activities
@@ -468,21 +456,21 @@ class _Process:
                 # effect (shared counter ping-pong) has already occurred.
                 break
 
-    def _os_service(self) -> Iterator[TraceRecord]:
+    def _os_service(self) -> Iterator[Ref]:
         """Kernel activity: mostly per-CPU structures plus shared kernel data."""
         region = self.world.kernel_private[self.cpu]
         for _ in range(self.rng.randint(2, 6)):
             address = region.random_block_address(self.rng)
             if self.rng.random() < 0.25:
-                yield from self._data(AccessType.WRITE, address, os=True)
+                yield from self._data(_WRITE, address, os=True)
             else:
-                yield from self._data(AccessType.READ, address, os=True)
+                yield from self._data(_READ, address, os=True)
         if self.rng.random() < 0.3:
             shared = self.world.kernel_shared
             address = shared.random_block_address(self.rng)
-            yield from self._data(AccessType.READ, address, os=True)
+            yield from self._data(_READ, address, os=True)
             if self.rng.random() < 0.15:
-                yield from self._data(AccessType.WRITE, address, os=True)
+                yield from self._data(_WRITE, address, os=True)
 
     # -- main loop ----------------------------------------------------------
 
@@ -499,7 +487,7 @@ class _Process:
         ]
         return [(weight, name) for weight, name in table if weight > 0]
 
-    def run(self) -> Iterator[TraceRecord]:
+    def run(self) -> Iterator[Ref]:
         """Endless stream of this process's references."""
         weights = [weight for weight, _ in self._activities]
         names = [name for _, name in self._activities]
@@ -520,8 +508,12 @@ class SyntheticWorkload:
             raise ValueError("profile needs at least one process and processor")
         self.profile = profile
 
-    def records(self) -> Iterator[TraceRecord]:
-        """Lazily generate exactly ``profile.length`` records."""
+    def packed(self) -> PackedTrace:
+        """Generate exactly ``profile.length`` references as columns.
+
+        Processes run lazily, one reference at a time, so lock and barrier
+        state read between references always reflects the interleave so far.
+        """
         profile = self.profile
         rng = random.Random(profile.seed)
         world = _SharedWorld(profile, rng)
@@ -530,6 +522,10 @@ class SyntheticWorkload:
             for pid in range(profile.processes)
         ]
         streams = [process.run() for process in processes]
+        trace = PackedTrace((), (), (), (), ())
+        access_col = trace.access.append
+        address_col = trace.address.append
+        flags_col = trace.flags.append
         emitted = 0
         turn = 0
         lo, hi = profile.run_length
@@ -548,13 +544,19 @@ class SyntheticWorkload:
                         other.cpu = process.cpu
                         break
                 process.cpu = destination
-            run = rng.randint(lo, hi)
-            stream = streams[index]
-            for _ in range(run):
-                if emitted >= profile.length:
-                    return
-                yield next(stream)
-                emitted += 1
+            run = min(rng.randint(lo, hi), profile.length - emitted)
+            for access, address, flags in islice(streams[index], run):
+                access_col(access)
+                address_col(address)
+                flags_col(flags)
+            trace.cpu.extend(repeat(process.cpu, run))
+            trace.pid.extend(repeat(process.pid, run))
+            emitted += run
+        return trace
+
+    def records(self) -> Iterator[TraceRecord]:
+        """Exactly ``profile.length`` records, generated up front."""
+        return iter(self.packed())
 
 
 def generate_trace(profile: WorkloadProfile) -> Iterator[TraceRecord]:

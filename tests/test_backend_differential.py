@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import trace_of
 from repro.core import SimulationCounters, fastsim, simulate
-from repro.core.fastsim import HAS_NUMPY, FastPipeline
+from repro.core.fastsim import FastPipeline
 from repro.core.pipeline import ReferencePipeline
 from repro.memory.cache import CacheGeometry
 from repro.obs.probe import CollectingProbe
@@ -230,7 +230,6 @@ class TestFidelityFallbacks:
         with pytest.raises(ValueError, match="sharing units"):
             pipeline.run(trace, "t")
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="needs numpy")
     def test_unit_overflow_raises_on_packed_decode(self):
         from repro.trace.packed import PackedTrace
 

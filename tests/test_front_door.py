@@ -16,6 +16,9 @@ from __future__ import annotations
 
 import ast
 import functools
+import os
+import subprocess
+import sys
 from pathlib import Path
 from typing import Dict, List
 
@@ -25,11 +28,10 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 SIMULATE_CALLERS = {"runner/spec.py", "core/comparison.py"}
 
 #: The only (module, function) pairs allowed to call ``.feed(...)``: the
-#: run wrapper, the fast backend's reference fallback, the value oracle and
-#: the stage profiler.
+#: run wrapper, the value oracle and the stage profiler.  The fast backend's
+#: reference fallback steps the pipeline per decoded reference instead.
 FEED_CALLERS = {
     ("core/pipeline.py", "run"),
-    ("core/fastsim.py", "feed"),
     ("core/oracle.py", "validate_coherence"),
     ("obs/profile.py", "profile_spec"),
 }
@@ -92,7 +94,7 @@ def _feed_callers(node: ast.AST, module: str, function: str, found: set) -> None
         _feed_callers(child, module, function, found)
 
 
-def test_feed_is_called_only_by_the_four_single_pass_drivers():
+def test_feed_is_called_only_by_the_three_single_pass_drivers():
     callers: set = set()
     for module, tree in _trees().items():
         _feed_callers(tree, module, "<module>", callers)
@@ -107,6 +109,46 @@ def test_reference_pipeline_is_built_only_by_the_core_and_the_profiler():
         if not module.startswith("core/") and module != "obs/profile.py"
     ]
     assert not strays, strays
+
+
+#: The only functions in ``src/repro`` that may import numpy: the ``.npz``
+#: round trip of a packed trace.
+NUMPY_IMPORTERS = {("trace/packed.py", "save"), ("trace/packed.py", "load")}
+
+
+def _numpy_imports(node: ast.AST, module: str, function: str, found: set) -> None:
+    """Collect (module, innermost enclosing function) of each numpy import."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = [node.module or ""]
+    else:
+        names = []
+    if any(name.split(".")[0] == "numpy" for name in names):
+        found.add((module, function))
+    for child in ast.iter_child_nodes(node):
+        _numpy_imports(child, module, function, found)
+
+
+def test_numpy_is_imported_only_for_npz_files():
+    found: set = set()
+    for module, tree in _trees().items():
+        _numpy_imports(tree, module, "<module>", found)
+    assert found == NUMPY_IMPORTERS, sorted(found ^ NUMPY_IMPORTERS)
+
+
+def test_importing_repro_leaves_numpy_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, repro; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_the_finite_wrapper_is_gone():

@@ -1,17 +1,27 @@
-"""Tests for the NumPy-packed trace container."""
+"""Tests for the column-packed trace container."""
+
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-np = pytest.importorskip("numpy")
+from conftest import record
+from repro.core.simulator import simulate
+from repro.protocols import create_protocol
+from repro.trace import standard_trace, take
+from repro.trace.packed import PackedTrace
+from repro.trace.record import AccessType, TraceRecord
+from repro.trace.synthetic import SyntheticWorkload
+from repro.trace.workloads import standard_profile, standard_trace_names
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
-
-from conftest import record  # noqa: E402
-from repro.core.simulator import simulate  # noqa: E402
-from repro.protocols import create_protocol  # noqa: E402
-from repro.trace import standard_trace, take  # noqa: E402
-from repro.trace.packed import PackedTrace  # noqa: E402
-from repro.trace.record import AccessType, TraceRecord  # noqa: E402
+#: Column -> (array typecode, bytes per value): 16 bytes a reference.
+COLUMN_TYPES = {
+    "cpu": ("H", 2),
+    "pid": ("I", 4),
+    "access": ("B", 1),
+    "address": ("Q", 8),
+    "flags": ("B", 1),
+}
 
 
 def _sample():
@@ -40,6 +50,7 @@ class TestRoundTrip:
         assert list(tail) == _sample()[2:]
 
     def test_save_and_load(self, tmp_path):
+        pytest.importorskip("numpy")
         packed = PackedTrace.from_records(_sample())
         path = tmp_path / "trace.npz"
         packed.save(path)
@@ -109,10 +120,11 @@ class TestRoundTripFuzz:
     def test_encode_decode_encode_is_stable(self, records):
         once = PackedTrace.from_records(records)
         twice = PackedTrace.from_records(list(once))
-        for name in PackedTrace.__slots__:
+        for name, (typecode, itemsize) in COLUMN_TYPES.items():
             first, second = getattr(once, name), getattr(twice, name)
-            assert first.dtype == second.dtype
-            assert np.array_equal(first, second)
+            assert first.typecode == second.typecode == typecode
+            assert first.itemsize == itemsize
+            assert first == second
 
     @settings(max_examples=100, deadline=None)
     @given(records=st.lists(_FUZZ_RECORDS, max_size=40), data=st.data())
@@ -132,12 +144,13 @@ class TestEmptyTrace:
         assert packed.distinct_data_blocks() == 0
 
     def test_empty_save_and_load(self, tmp_path):
+        pytest.importorskip("numpy")
         path = tmp_path / "empty.npz"
         PackedTrace.from_records([]).save(path)
         loaded = PackedTrace.load(path)
         assert len(loaded) == 0
-        assert loaded.cpu.dtype == np.uint16
-        assert loaded.address.dtype == np.uint64
+        assert loaded.cpu.typecode == "H" and loaded.cpu.itemsize == 2
+        assert loaded.address.typecode == "Q" and loaded.address.itemsize == 8
 
     def test_empty_slice_of_nonempty(self):
         packed = PackedTrace.from_records(_sample())
@@ -175,3 +188,37 @@ class TestColumnValidation:
     def test_non_integer_column_rejected(self):
         with pytest.raises(ValueError, match="address.*integers"):
             PackedTrace([0], [0], [1], [1.5], [0])
+
+
+@st.composite
+def _workloads(draw):
+    """A calibrated profile at a drawn seed and scale, with drawn fields."""
+    profile = standard_profile(
+        draw(st.sampled_from(standard_trace_names())),
+        scale=1 / draw(st.integers(256, 4096)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    return SyntheticWorkload(
+        replace(
+            profile,
+            processes=draw(st.integers(1, 6)),
+            processors=draw(st.integers(1, 4)),
+            extra_instr_per_data=draw(st.sampled_from([0.0, 0.5, 1.5])),
+            migration_rate=draw(st.sampled_from([0.0, 0.001, 0.05])),
+            w_barrier=draw(st.sampled_from([0.0, 0.015, 5.0])),
+            os_activity_fraction=draw(st.floats(0.0, 0.6)),
+        )
+    )
+
+
+class TestGeneratorColumns:
+    @settings(max_examples=25, deadline=None)
+    @given(workload=_workloads())
+    def test_generated_columns_match_repacked_records(self, workload):
+        """The generator's columns are exactly its records, packed."""
+        records = list(workload.records())
+        repacked = PackedTrace.from_records(workload.records())
+        assert list(repacked) == records
+        packed = workload.packed()
+        for name in COLUMN_TYPES:
+            assert getattr(packed, name) == getattr(repacked, name), name

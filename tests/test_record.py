@@ -2,12 +2,32 @@
 
 import pytest
 
+from repro.trace.classify import classify_blocks
+from repro.trace.packed import PackedTrace
 from repro.trace.record import (
     DEFAULT_BLOCK_SIZE,
     AccessType,
     TraceRecord,
     block_of,
 )
+from repro.trace.stats import collect_stats
+
+#: Two data references in two different 16-byte blocks.
+_TWO_BLOCKS = [
+    TraceRecord(cpu=0, pid=0, access=AccessType.READ, address=16),
+    TraceRecord(cpu=1, pid=1, access=AccessType.WRITE, address=32),
+]
+
+_PACKED = PackedTrace.from_records(_TWO_BLOCKS)
+
+#: Every trace-side way of mapping addresses to blocks of a given size.
+_BLOCK_MAPPERS = {
+    "block_of": lambda size: block_of(16, size),
+    "TraceRecord.block": lambda size: _TWO_BLOCKS[0].block(size),
+    "PackedTrace.distinct_data_blocks": lambda size: _PACKED.distinct_data_blocks(size),
+    "collect_stats": lambda size: collect_stats(_TWO_BLOCKS, block_size=size),
+    "classify_blocks": lambda size: classify_blocks(_TWO_BLOCKS, block_size=size),
+}
 
 
 class TestAccessType:
@@ -67,6 +87,12 @@ class TestBlockOf:
     def test_rejects_nonpositive_block_size(self):
         with pytest.raises(ValueError):
             block_of(0, block_size=0)
+
+    @pytest.mark.parametrize("size", [0, -16])
+    @pytest.mark.parametrize("mapper", sorted(_BLOCK_MAPPERS))
+    def test_every_block_mapper_rejects_nonpositive_sizes(self, mapper, size):
+        with pytest.raises(ValueError, match="block_size must be positive"):
+            _BLOCK_MAPPERS[mapper](size)
 
     @pytest.mark.parametrize("size", [4, 16, 32, 64])
     def test_consecutive_addresses_in_same_block(self, size):
