@@ -433,7 +433,10 @@ def run_service(
             pass
     try:
         handle = start_background(manager, host, port)
-        print(f"listening on {handle.base_url}", file=stream)
+        # One write: recovery logs to the same stream from another thread,
+        # and print() writes the newline separately, so a log record could
+        # land inside the ready line that clients parse.
+        stream.write(f"listening on {handle.base_url}\n")
         stream.flush()
         stop.wait()
         print("draining...", file=stream)
