@@ -6,7 +6,8 @@
    Figure 1 and the workload differences of Figure 3.
 2. **Coherence verification** — the value-tracking oracle validates every
    paper-core scheme over a real trace slice, and the model checker proves
-   depth-bounded coherence exhaustively on a 2-cache configuration.
+   coherence over every state reachable by reads, writes and evictions on
+   2- and 3-cache configurations.
 3. **Competitive update/invalidate hybrid** — the limit sweep positions
    EDWP between Dragon and the invalidation schemes.
 """
@@ -52,8 +53,20 @@ def test_sharing_composition(benchmark, save_result):
     assert pero.access_share(BlockClass.SYNCHRONIZATION) < 0.01
 
 
+#: Reachable single-block states with evictions at 2 and 3 caches (the
+#: pins of tests/test_modelcheck.py for these schemes).
+REACHABLE_STATES = {
+    "dir1nb": (6, 8),
+    "wti": (5, 9),
+    "dir0b": (7, 12),
+    "dragon": (9, 21),
+    "dirnnb": (7, 12),
+    "berkeley": (9, 21),
+}
+
+
 def test_coherence_verification(benchmark, save_result):
-    schemes = ("dir1nb", "wti", "dir0b", "dragon", "dirnnb", "berkeley")
+    schemes = tuple(REACHABLE_STATES)
 
     def run():
         oracle_reports = {}
@@ -63,13 +76,12 @@ def test_coherence_verification(benchmark, save_result):
                 create_protocol(scheme, 4), trace
             )
         checks = {
-            scheme: model_check(
+            (scheme, n_caches): model_check(
                 lambda n, scheme=scheme: create_protocol(scheme, n),
-                n_caches=2,
-                n_blocks=1,
-                depth=6,
+                n_caches=n_caches,
             )
             for scheme in schemes
+            for n_caches in (2, 3)
         }
         return oracle_reports, checks
 
@@ -80,14 +92,14 @@ def test_coherence_verification(benchmark, save_result):
             f"  {scheme:<9} {report.copies_checked} copy checks, "
             f"{report.writes} writes: coherent"
         )
-    lines.append("Exhaustive model check (2 caches, 1 block, depth 6):")
-    for scheme, report in checks.items():
+    lines.append("Exhaustive model check (every reachable state, with evictions):")
+    for report in checks.values():
         lines.append(f"  {report.render()}")
     save_result("coherence_verification", "\n".join(lines))
 
-    for report in checks.values():
+    for (scheme, n_caches), report in checks.items():
         assert report.ok
-        assert report.sequences_explored == sum(4**d for d in range(1, 7))
+        assert report.states == REACHABLE_STATES[scheme][n_caches - 2]
 
 
 def test_competitive_limit_sweep(benchmark, pipe_bus, save_result):

@@ -16,7 +16,7 @@ Subcommands::
     repro-coherence trace-stats [--scale N]
     repro-coherence classify TRACE [--scale N]
     repro-coherence validate SCHEME [--scale N]
-    repro-coherence modelcheck SCHEME [--caches 2] [--depth 6]
+    repro-coherence modelcheck SCHEME [--caches 2] [--blocks 1]
     repro-coherence timed SCHEME [--scale N] [--q 1]
     repro-coherence export-trace NAME FILE [--scale N] [--format text|binary]
     repro-coherence status   [--status-file FILE | --cache-dir DIR] [--watch S]
@@ -72,6 +72,7 @@ caps the per-sweep worker count a request may ask for.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -490,12 +491,13 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument("scheme", type=_scheme_arg)
 
     modelcheck = sub.add_parser(
-        "modelcheck", help="exhaustively verify a scheme on a small config"
+        "modelcheck",
+        help="verify a scheme over every state reachable by reads, writes "
+        "and evictions on a small config",
     )
     modelcheck.add_argument("scheme", type=_scheme_arg)
     modelcheck.add_argument("--caches", type=int, default=2)
     modelcheck.add_argument("--blocks", type=int, default=1)
-    modelcheck.add_argument("--depth", type=int, default=6)
 
     timed = sub.add_parser(
         "timed", help="timing-accurate run with bus arbitration"
@@ -996,15 +998,14 @@ def _cmd_modelcheck(args: argparse.Namespace) -> None:
     from .core import model_check
     from .protocols import create_protocol
 
-    if args.caches < 1 or args.blocks < 1 or args.depth < 1:
-        raise UsageError("modelcheck: --caches, --blocks and --depth must be >= 1")
+    if args.caches < 1 or args.blocks < 1:
+        raise UsageError("modelcheck: --caches and --blocks must be >= 1")
     report = model_check(
         lambda n: create_protocol(args.scheme, n),
         n_caches=args.caches,
         n_blocks=args.blocks,
-        depth=args.depth,
     )
-    print(report.render())
+    print(dataclasses.replace(report, protocol=args.scheme).render())
     if not report.ok:
         raise SystemExit(1)
 

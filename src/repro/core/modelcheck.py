@@ -1,30 +1,24 @@
 """Exhaustive model checking of coherence protocols on small configurations.
 
-Trace-driven simulation and random property tests sample behaviour; for a
-small machine the state space can simply be **enumerated**.  This module
-drives a protocol — through the oracle-checked
-:class:`~repro.core.pipeline.ReferencePipeline`, the same engine every
-simulation mode runs on — through *every* access sequence of bounded depth
-over a few caches and blocks, proving — not sampling — that no
-interleaving of reads and writes can make any cache observe stale data
-within that bound.
-
-Two caches, one block and depth 8 already cover every two-party coherence
-dance (read/read, read/write, write/write hand-offs in every order); three
-caches catch the three-party bugs (invalidate one sharer, forget the
-other).  The search is depth-first over (protocol, oracle) snapshots, so
-the cost is ``(caches × 2 × blocks)^depth`` oracle steps — milliseconds
-for the useful configurations.
-
-On failure the checker returns the exact minimal sequence, ready to paste
-into a regression test.
+A breadth-first search drives the oracle-checked
+:class:`~repro.core.pipeline.ReferencePipeline` through a read, a write and
+an *eviction* by every cache of every block until no new state appears, so
+there is no depth bound.  A state is each block's
+:meth:`~repro.protocols.base.CoherenceProtocol.block_state` plus whether
+memory holds its latest version (the oracle checks every held copy after
+every step).  A finite cache reaches the protocol only through ``evict``,
+so this alphabet covers every cache geometry.  Blocks are independent:
+``n`` blocks reach the one-block state count to the power ``n``.  A
+violation comes back as a shortest sequence, read off the parent links.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Optional, Sequence, Tuple, Union
 
 from ..protocols.base import CoherenceProtocol
 from ..trace.record import AccessType
@@ -32,10 +26,13 @@ from .counters import SimulationCounters
 from .oracle import CoherenceViolation
 from .pipeline import ReferencePipeline
 
-__all__ = ["ModelCheckReport", "model_check"]
+__all__ = ["EVICT", "ModelCheckReport", "model_check"]
 
-#: One step of a checked program.
-Step = Tuple[int, AccessType, int]
+#: One step of a checked program: (cache, READ, WRITE or EVICT, block).
+Step = Tuple[int, Union[AccessType, str], int]
+EVICT = "evict"  # the step action that displaces the block from the cache
+
+_LETTER = {AccessType.READ: "R", AccessType.WRITE: "W", EVICT: "E"}
 
 
 @dataclass(frozen=True)
@@ -45,9 +42,8 @@ class ModelCheckReport:
     protocol: str
     n_caches: int
     n_blocks: int
-    depth: int
-    sequences_explored: int
-    steps_executed: int
+    states: int
+    edges: int
     counterexample: Optional[Sequence[Step]]
     error: Optional[str]
 
@@ -59,88 +55,103 @@ class ModelCheckReport:
         verdict = "OK" if self.ok else f"VIOLATION: {self.error}"
         text = (
             f"{self.protocol}: caches={self.n_caches} blocks={self.n_blocks} "
-            f"depth={self.depth} -> {self.sequences_explored} sequences, "
-            f"{self.steps_executed} steps: {verdict}"
+            f"-> {self.states} states, {self.edges} edges: {verdict}"
         )
         if self.counterexample:
             pretty = ", ".join(
-                f"P{cache}{'R' if access is AccessType.READ else 'W'}b{block}"
-                for cache, access, block in self.counterexample
+                f"P{cache}{_LETTER[action]}b{block}"
+                for cache, action, block in self.counterexample
             )
             text += f"\n  counterexample: {pretty}"
         return text
+
+
+def _state_key(pipeline: ReferencePipeline, n_blocks: int) -> Hashable:
+    protocol, oracle = pipeline.protocol, pipeline.oracle
+    return tuple(
+        (protocol.block_state(block), oracle.memory_current(block))
+        for block in range(n_blocks)
+    )
+
+
+def _take(
+    pipeline: ReferencePipeline, step: Step, counters: SimulationCounters
+) -> None:
+    """Apply one step, then check that every held copy is current."""
+    cache, action, block = step
+    if action is EVICT:
+        for op, count in pipeline.oracle.evict(cache, block):
+            counters.ops.add(op, count)
+    else:
+        pipeline.step(cache, action, block, counters)
+    pipeline.oracle.check_all_copies()
+
+
+def _path(parents: Dict, key: Hashable) -> Tuple[Step, ...]:
+    """A shortest step sequence from the initial state to ``key``."""
+    steps = []
+    while parents[key] is not None:
+        key, step = parents[key]
+        steps.append(step)
+    return tuple(reversed(steps))
+
+
+def _explore(
+    protocol_factory: Callable[[int], CoherenceProtocol],
+    n_caches: int,
+    n_blocks: int = 1,
+    *,
+    evictions: bool = True,
+    companion: object = None,
+) -> Tuple[ModelCheckReport, Dict[Hashable, Optional[Tuple[Hashable, Step]]]]:
+    """Breadth-first search of every reachable state.
+
+    Returns the report and the parent links (state key -> ``(parent key,
+    step)``, ``None`` for the initial state).  A ``companion`` is copied
+    with each state and, on every edge, given ``companion.step(step,
+    counters)`` with the reference's counters: a differential check.
+    """
+    if n_caches < 1 or n_blocks < 1:
+        raise ValueError("n_caches and n_blocks must both be >= 1")
+    actions = (AccessType.READ, AccessType.WRITE) + ((EVICT,) if evictions else ())
+    alphabet = list(itertools.product(range(n_caches), actions, range(n_blocks)))
+    protocol = protocol_factory(n_caches)
+    root = ReferencePipeline(protocol, check_values=True)
+    parents = {_state_key(root, n_blocks): None}
+    frontier = deque([(_state_key(root, n_blocks), (root, companion))])
+    edges, counterexample, error = 0, None, None
+    while frontier and counterexample is None:
+        key, node = frontier.popleft()
+        for step in alphabet:
+            pipeline, beside = child = copy.deepcopy(node)
+            counters = SimulationCounters()
+            edges += 1
+            try:
+                _take(pipeline, step, counters)
+            except CoherenceViolation as violation:
+                counterexample, error = _path(parents, key) + (step,), str(violation)
+                break
+            if beside is not None:
+                beside.step(step, counters)
+            child_key = _state_key(pipeline, n_blocks)
+            if child_key not in parents:
+                parents[child_key] = (key, step)
+                frontier.append((child_key, child))
+    report = ModelCheckReport(
+        protocol.name, n_caches, n_blocks, len(parents), edges, counterexample, error
+    )
+    return report, parents
 
 
 def model_check(
     protocol_factory: Callable[[int], CoherenceProtocol],
     n_caches: int = 2,
     n_blocks: int = 1,
-    depth: int = 8,
 ) -> ModelCheckReport:
-    """Exhaustively verify coherence for all programs up to ``depth`` steps.
+    """Verify coherence over every state reachable on a small machine.
 
-    Args:
-        protocol_factory: builds a fresh protocol for ``n_caches`` caches.
-        n_caches / n_blocks: configuration size (the branching factor is
-            ``n_caches * 2 * n_blocks`` per step).
-        depth: maximum program length.
-
-    Returns:
-        a report; ``report.ok`` is False iff some sequence made a cache
-        observe stale data, in which case ``report.counterexample`` holds
-        the shortest such sequence found (DFS order).
+    ``report.ok`` is False iff some sequence of reads, writes and evictions
+    made a cache observe stale data; ``report.counterexample`` is then a
+    shortest such sequence.
     """
-    if n_caches < 1 or n_blocks < 1 or depth < 1:
-        raise ValueError("n_caches, n_blocks and depth must all be >= 1")
-    alphabet: List[Step] = [
-        (cache, access, block)
-        for cache in range(n_caches)
-        for access in (AccessType.READ, AccessType.WRITE)
-        for block in range(n_blocks)
-    ]
-    protocol_name = protocol_factory(n_caches).name
-    sequences = 0
-    steps_executed = 0
-
-    # Each state is a value-checked reference pipeline (the unified engine
-    # with ``check_values=True``), so the enumeration exercises exactly the
-    # per-reference path every simulation mode runs — a pipeline regression
-    # that breaks coherence fails here by exhaustion, not by sampling.
-    root = ReferencePipeline(protocol_factory(n_caches), check_values=True)
-    # Iterative DFS over (pipeline_state, prefix, remaining_depth).  States
-    # are deep-copied on branching; at the leaf we also run the final sweep.
-    stack: List[Tuple[ReferencePipeline, Tuple[Step, ...]]] = [(root, ())]
-    while stack:
-        pipeline, prefix = stack.pop()
-        if len(prefix) == depth:
-            continue
-        for step in alphabet:
-            child = copy.deepcopy(pipeline)
-            cache, access, block = step
-            steps_executed += 1
-            try:
-                child.step(cache, access, block, SimulationCounters())
-                child.oracle.check_all_copies()
-            except CoherenceViolation as violation:
-                return ModelCheckReport(
-                    protocol=protocol_name,
-                    n_caches=n_caches,
-                    n_blocks=n_blocks,
-                    depth=depth,
-                    sequences_explored=sequences,
-                    steps_executed=steps_executed,
-                    counterexample=prefix + (step,),
-                    error=str(violation),
-                )
-            sequences += 1
-            stack.append((child, prefix + (step,)))
-    return ModelCheckReport(
-        protocol=protocol_name,
-        n_caches=n_caches,
-        n_blocks=n_blocks,
-        depth=depth,
-        sequences_explored=sequences,
-        steps_executed=steps_executed,
-        counterexample=None,
-        error=None,
-    )
+    return _explore(protocol_factory, n_caches, n_blocks)[0]

@@ -136,6 +136,10 @@ class CoherenceOracle:
             self._memory[block] = version
         return ops
 
+    def memory_current(self, block: int) -> bool:
+        """Whether main memory holds the latest version of ``block``."""
+        return self._memory.get(block, 0) == self._latest.get(block, 0)
+
     def _check_current(self, cache: int, block: int, context: str) -> None:
         self.copies_checked += 1
         held = self._copy_version.get((cache, block), 0)

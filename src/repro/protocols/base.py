@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar, Optional, Set, Tuple
+from typing import TYPE_CHECKING, ClassVar, Hashable, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .table import TransitionTable
@@ -143,6 +143,16 @@ class CoherenceProtocol(abc.ABC):
     def seen(self, block: int) -> bool:
         """Whether the trace has referenced ``block`` before."""
         return block in self._seen
+
+    def block_state(self, block: int) -> Hashable:
+        """A hashable snapshot of everything this protocol keeps about
+        ``block``: two snapshots are equal only if every later sequence of
+        references and evictions behaves identically on the block.  The
+        default is its holders, dirty owner and whether it has been seen;
+        a subclass that keeps more per-block state extends it.
+        """
+        sharing = self.sharing
+        return (sharing.holders(block), sharing.dirty_owner(block), block in self._seen)
 
     def compile_table(self) -> Optional["TransitionTable"]:
         """This protocol's transition function as a lookup table.

@@ -107,6 +107,10 @@ class DirCoarse(DirnNB):
         #: invalidation messages sent to caches that held no copy
         self.wasted_invalidations = 0
 
+    def block_state(self, block: int):
+        code = self._codes.get(block)
+        return super().block_state(block) + (code and code.digits,)
+
     def _admit_holder(self, cache: int, block: int, flushed: bool = False) -> OpList:
         code = self._codes.get(block)
         if code is None:

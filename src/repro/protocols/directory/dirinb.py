@@ -87,6 +87,11 @@ class DiriNB(DirnNB):
         order.append(cache)
         return ops
 
+    def block_state(self, block: int):
+        # With the "random" policy the RNG's state also matters; it is not
+        # part of the snapshot.
+        return super().block_state(block) + (tuple(self._order.get(block, ())),)
+
     def _choose_victim(self, order: List[int]) -> int:
         if self.eviction == "fifo":
             return order[0]

@@ -76,6 +76,9 @@ class YenFu(DirnNB):
             del self._single[block]
         return super().evict(cache, block)
 
+    def block_state(self, block: int):
+        return super().block_state(block) + (self._single.get(block),)
+
     def compile_table(self) -> Optional[TransitionTable]:
         # The single bits are the table's aux column.  The fast backend does
         # not maintain the ``saved_directory_checks`` diagnostic.

@@ -62,6 +62,12 @@ class CompetitiveUpdate(CoherenceProtocol):
             else:
                 self._unused_updates[key] = count
 
+    def block_state(self, block: int):
+        counts = self._unused_updates
+        return super().block_state(block) + (
+            tuple(counts.get((cache, block), 0) for cache in range(self.n_caches)),
+        )
+
     # -- reads ----------------------------------------------------------------
 
     def _read(self, cache: int, block: int, first_ref: bool) -> AccessOutcome:

@@ -123,6 +123,9 @@ class Illinois(CoherenceProtocol):
             del self._exclusive[block]
         return super().evict(cache, block)
 
+    def block_state(self, block: int):
+        return super().block_state(block) + (self._exclusive.get(block),)
+
     def compile_table(self) -> Optional[TransitionTable]:
         # The Exclusive state is the table's aux column.
         return derive_table(self, aux=self._exclusive)

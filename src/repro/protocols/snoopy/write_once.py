@@ -121,6 +121,9 @@ class WriteOnce(CoherenceProtocol):
             del self._reserved[block]
         return super().evict(cache, block)
 
+    def block_state(self, block: int):
+        return super().block_state(block) + (self._reserved.get(block),)
+
     def compile_table(self) -> Optional[TransitionTable]:
         # The reserved state is the table's aux column.
         return derive_table(self, aux=self._reserved)

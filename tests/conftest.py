@@ -9,14 +9,6 @@ import pytest
 from repro.protocols.base import AccessOutcome, CoherenceProtocol
 from repro.trace.record import AccessType, TraceRecord
 
-try:
-    import numpy  # noqa: F401
-
-    HAS_NUMPY = True
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    HAS_NUMPY = False
-
-
 def pytest_addoption(parser) -> None:
     parser.addoption(
         "--update-golden",
@@ -25,16 +17,6 @@ def pytest_addoption(parser) -> None:
         help="rewrite tests/golden/ snapshots from the current simulation "
         "output instead of comparing against them",
     )
-
-
-def pytest_collection_modifyitems(config, items) -> None:
-    """Skip ``requires_numpy``-marked tests when the optional extra is absent."""
-    if HAS_NUMPY:
-        return
-    skip = pytest.mark.skip(reason="numpy not installed (pip install repro[fast])")
-    for item in items:
-        if "requires_numpy" in item.keywords:
-            item.add_marker(skip)
 
 
 #: A compact op spec: (cache, "r"/"w"/"i", block)

@@ -96,7 +96,6 @@ def test_backends_bit_identical(name, data):
     assert signature(counters) == expected
 
 
-@pytest.mark.requires_numpy
 @pytest.mark.parametrize("name", ALL_PROTOCOLS)
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
@@ -113,19 +112,18 @@ def test_packed_column_decode_bit_identical(name, data):
     assert signature(fast.run(packed, "t").counters) == expected
 
 
-@pytest.mark.parametrize(
-    "packed", [False, pytest.param(True, marks=pytest.mark.requires_numpy)]
-)
+@pytest.mark.parametrize("packed", [False, True])
 @pytest.mark.parametrize("name", ALL_PROTOCOLS)
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_batch_boundaries_are_invisible(name, packed, data):
     """The kernel's internal batches never change what a run counts.
 
-    Real runs are far shorter than ``BATCH_SIZE``, so shrink it to a drawn
-    size: state must carry across every batch boundary, including a batch
-    of one and a single batch covering the whole trace.  Fallback protocols
-    batch too when they decode packed columns.
+    Drawn traces are far shorter than ``BATCH_SIZE`` (4,096 references) and
+    would fit in one batch, so the test shrinks it to a drawn size: state
+    must carry across every batch boundary, including a batch of one and a
+    single batch covering the whole trace.  Fallback protocols batch too
+    when they decode packed columns.
     """
     trace = _trace(data.draw(_SPECS))
     geometry = _geometry(data.draw(_GEOMETRIES))
@@ -140,7 +138,6 @@ def test_batch_boundaries_are_invisible(name, packed, data):
         assert signature(fast.run(trace, "t").counters) == expected
 
 
-@pytest.mark.requires_numpy
 @pytest.mark.parametrize("name", ALL_PROTOCOLS)
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())

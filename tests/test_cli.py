@@ -84,8 +84,8 @@ class TestCommands:
         assert "coherent" in capsys.readouterr().out
 
     def test_modelcheck_ok(self, capsys):
-        assert main(["modelcheck", "dragon", "--depth", "4"]) == 0
-        assert "OK" in capsys.readouterr().out
+        assert main(["modelcheck", "dragon", "--caches", "3"]) == 0
+        assert "21 states, 189 edges: OK" in capsys.readouterr().out
 
     def test_timed(self, capsys):
         assert main(FAST + ["timed", "dir0b", "--q", "2"]) == 0
@@ -552,8 +552,12 @@ class TestErrorPaths:
     def test_modelcheck_nonpositive_config_rejected(self, capsys):
         assert main(["modelcheck", "dir0b", "--caches", "0"]) == 2
         assert "must be >= 1" in capsys.readouterr().err
-        assert main(["modelcheck", "dir0b", "--depth", "0"]) == 2
+        assert main(["modelcheck", "dir0b", "--blocks", "0"]) == 2
         assert "must be >= 1" in capsys.readouterr().err
+
+    def test_modelcheck_has_no_depth_bound(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["modelcheck", "dir0b", "--depth", "4"])
 
     def test_modelcheck_violation_exits_nonzero(self, capsys, monkeypatch):
         import repro.core
@@ -563,9 +567,8 @@ class TestErrorPaths:
             protocol="dir0b",
             n_caches=2,
             n_blocks=1,
-            depth=2,
-            sequences_explored=1,
-            steps_executed=2,
+            states=1,
+            edges=2,
             counterexample=((0, 1, 0),),
             error="stale read observed",
         )

@@ -39,9 +39,7 @@ def test_effectively_infinite_geometry_matches_infinite_run(protocol_name):
 _TINY_GEOMETRY = CacheGeometry(n_sets=4, associativity=2)
 
 
-@pytest.mark.parametrize(
-    "packed", [False, pytest.param(True, marks=pytest.mark.requires_numpy)]
-)
+@pytest.mark.parametrize("packed", [False, True])
 @pytest.mark.parametrize("protocol_name", sorted(PROTOCOLS))
 def test_displacing_runs_carry_lru_state_across_batches(protocol_name, packed):
     """While the LRU stage is displacing, the fast kernel's cache and

@@ -1,117 +1,149 @@
-"""Tests for the exhaustive coherence model checker."""
+"""Tests for the reachable-state coherence model checker."""
+
+import copy
+import itertools
+from functools import lru_cache, partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.modelcheck import model_check
+from repro.core import SimulationCounters
+from repro.core.modelcheck import EVICT, _explore, _path, _state_key, _take, model_check
+from repro.core.oracle import CoherenceViolation
+from repro.core.pipeline import ReferencePipeline
 from repro.protocols import create_protocol, protocol_names
-from repro.protocols.base import AccessOutcome
+from repro.protocols.base import NO_OPS, AccessOutcome
 from repro.protocols.directory.dir0b import Dir0B
 from repro.protocols.events import Event
+from repro.trace.record import AccessType
 
-# Protocols cheap enough to exhaust at depth 5 in the unit-test suite.
-FAST_DEPTH = 5
-
-
-class TestAllProtocolsVerify:
-    @pytest.mark.parametrize("name", sorted(protocol_names()))
-    def test_two_caches_one_block(self, name):
-        report = model_check(
-            lambda n: create_protocol(name, n),
-            n_caches=2,
-            n_blocks=1,
-            depth=FAST_DEPTH,
-        )
-        assert report.ok, report.render()
-        assert report.sequences_explored == sum(4**d for d in range(1, FAST_DEPTH + 1))
-
-    def test_three_caches_catch_third_party_bugs(self):
-        # Deliberately small depth: branching is 6 per step.
-        for name in ("dir0b", "dragon", "dirnnb"):
-            report = model_check(
-                lambda n, name=name: create_protocol(name, n),
-                n_caches=3,
-                n_blocks=1,
-                depth=4,
-            )
-            assert report.ok, report.render()
-
-    def test_two_blocks_no_aliasing(self):
-        report = model_check(
-            lambda n: create_protocol("dir0b", n),
-            n_caches=2,
-            n_blocks=2,
-            depth=4,
-        )
-        assert report.ok
+#: Reachable single-block states with evictions at 2 and 3 caches: a search
+#: that stops early, or a change to what a protocol can reach, shows here.
+STATES = {
+    "berkeley": (9, 21),
+    "coarse": (11, 26),
+    "competitive": (27, 174),
+    "competitive2": (15, 54),
+    "competitive8": (51, 630),
+    "dir0b": (7, 12),
+    "dir1b": (7, 12),
+    "dir1nb": (6, 8),
+    "dir2b": (7, 12),
+    "dir2nb": (8, 14),
+    "dir4b": (7, 12),
+    "dir4nb": (8, 20),
+    "dirnnb": (7, 12),
+    "dragon": (9, 21),
+    "firefly": (7, 12),
+    "illinois": (9, 15),
+    "softflush": (6, 8),
+    "tang": (7, 12),
+    "writeonce": (9, 15),
+    "wti": (5, 9),
+    "yenfu": (9, 15),
+}
+R, W = AccessType.READ, AccessType.WRITE
+ALPHABET = {n: [(c, a, 0) for c in range(n) for a in (R, W, EVICT)] for n in (2, 3)}
 
 
-class _InvalidatesTheWrongSharer(Dir0B):
-    """Three-party bug: invalidates only the lowest-indexed remote sharer."""
+def _run(factory, n_caches, steps):
+    pipeline = ReferencePipeline(factory(n_caches), check_values=True)
+    for step in steps:
+        _take(pipeline, step, SimulationCounters())
+    return pipeline
 
+
+@pytest.mark.parametrize("n_caches", (2, 3))
+@pytest.mark.parametrize("name", protocol_names())
+def test_every_reachable_state_is_coherent(name, n_caches):
+    report = model_check(partial(create_protocol, name), n_caches=n_caches)
+    assert report.ok, report.render()
+    assert report.states == STATES[name][n_caches - 2]
+    assert report.edges == report.states * 3 * n_caches
+
+
+@pytest.mark.parametrize("name", protocol_names())
+def test_blocks_are_independent(name):
+    report = model_check(partial(create_protocol, name), n_blocks=2)
+    assert report.ok and report.states == STATES[name][0] ** 2
+
+
+@lru_cache(maxsize=None)
+def _parents(name):
+    return _explore(partial(create_protocol, name), 3)[1]
+
+
+@pytest.mark.parametrize("name", protocol_names())
+@settings(max_examples=25, deadline=None)
+@given(steps=st.lists(st.sampled_from(ALPHABET[3]), max_size=12))
+def test_equal_keys_mean_equal_futures(name, steps):
+    """The state key is sound: a drawn sequence and the explorer's shortest
+    path to the same key take every next step to one key and signature."""
+    drawn = _run(partial(create_protocol, name), 3, steps)
+    path = _path(_parents(name), _state_key(drawn, 1))
+    shortest = _run(partial(create_protocol, name), 3, path)
+    for step in ALPHABET[3]:
+        futures = []
+        for pipeline in map(copy.deepcopy, (drawn, shortest)):
+            counters = SimulationCounters()
+            _take(pipeline, step, counters)
+            futures.append((_state_key(pipeline, 1), counters.signature()))
+        assert futures[0] == futures[1], step
+
+
+class _SkipsInvalidation(Dir0B):  # two-party bug: no sharer is invalidated
+    name = "broken"
+
+    def _write_hit_clean(self, cache, block):
+        self.sharing.set_dirty(block, cache)
+        return AccessOutcome(event=Event.WH_BLK_CLEAN, invalidation_fanout=0)
+
+
+class _InvalidatesTheWrongSharer(_SkipsInvalidation):  # a three-party bug
     name = "broken-wrong-sharer"
 
     def _write_hit_clean(self, cache, block):
-        sharing = self.sharing
-        remote = sharing.remote_holders(block, cache)
-        if remote:
-            lowest = (remote & -remote).bit_length() - 1
-            sharing.remove_holder(block, lowest)  # leaves the others stale
-        sharing.set_dirty(block, cache)
-        return AccessOutcome(
-            event=Event.WH_BLK_CLEAN, ops=(), invalidation_fanout=0
-        )
+        remote = self.sharing.remote_holders(block, cache)
+        if remote:  # only the lowest-indexed sharer; the others stay stale
+            self.sharing.remove_holder(block, (remote & -remote).bit_length() - 1)
+        return super()._write_hit_clean(cache, block)
 
 
-class TestCounterexamples:
-    def test_two_party_bug_found(self):
-        class Broken(Dir0B):
-            name = "broken"
+class _DropsDirtyVictims(Dir0B):  # a dirty victim leaves without WRITE_BACK
+    name = "broken-dirty-evict"
 
-            def _write_hit_clean(self, cache, block):
-                self.sharing.set_dirty(block, cache)
-                return AccessOutcome(
-                    event=Event.WH_BLK_CLEAN, ops=(), invalidation_fanout=0
-                )
-
-        report = model_check(lambda n: Broken(n), n_caches=2, depth=5)
-        assert not report.ok
-        assert report.counterexample is not None
-        assert "version" in report.error
-
-    def test_three_party_bug_needs_three_caches(self):
-        # With two caches the wrong-sharer bug is invisible (the "wrong"
-        # sharer is the only sharer); with three it is caught.
-        two = model_check(
-            lambda n: _InvalidatesTheWrongSharer(n), n_caches=2, depth=5
-        )
-        assert two.ok
-        three = model_check(
-            lambda n: _InvalidatesTheWrongSharer(n), n_caches=3, depth=4
-        )
-        assert not three.ok
-
-    def test_counterexample_replays_to_a_violation(self):
-        from repro.core.oracle import CoherenceOracle, CoherenceViolation
-
-        report = model_check(
-            lambda n: _InvalidatesTheWrongSharer(n), n_caches=3, depth=4
-        )
-        oracle = CoherenceOracle(_InvalidatesTheWrongSharer(3))
-        with pytest.raises(CoherenceViolation):
-            for cache, access, block in report.counterexample:
-                oracle.access(cache, access, block)
-            oracle.check_all_copies()
+    def evict(self, cache, block):
+        super().evict(cache, block)
+        return NO_OPS
 
 
-class TestValidation:
-    def test_rejects_bad_parameters(self):
+@pytest.mark.parametrize(
+    "protocol, n_caches, shortest",
+    [
+        (_SkipsInvalidation, 2, ((0, R, 0), (1, R, 0), (0, W, 0))),
+        (_InvalidatesTheWrongSharer, 3, ((0, R, 0), (1, R, 0), (2, R, 0), (0, W, 0))),
+        (_DropsDirtyVictims, 2, ((0, W, 0), (0, EVICT, 0), (0, R, 0))),
+    ],
+)
+def test_bugs_are_found_with_a_shortest_counterexample(protocol, n_caches, shortest):
+    report = model_check(protocol, n_caches=n_caches)
+    assert report.counterexample == shortest and "version" in report.error
+    with pytest.raises(CoherenceViolation):
+        _run(protocol, n_caches, shortest)
+    for length in range(len(shortest)):
+        for steps in itertools.product(ALPHABET[n_caches], repeat=length):
+            _run(protocol, n_caches, steps)
+
+
+def test_bugs_hidden_from_smaller_searches():
+    assert model_check(_InvalidatesTheWrongSharer, n_caches=2).ok  # one sharer
+    assert all(_explore(_DropsDirtyVictims, n, evictions=False)[0].ok for n in (2, 3))
+
+
+def test_render_and_validation():
+    assert "P0Wb0, P0Eb0, P0Rb0" in model_check(_DropsDirtyVictims).render()
+    assert "7 states, 42 edges: OK" in model_check(Dir0B).render()
+    for config in ({"n_caches": 0}, {"n_blocks": 0}):
         with pytest.raises(ValueError):
-            model_check(lambda n: create_protocol("dir0b", n), n_caches=0)
-        with pytest.raises(ValueError):
-            model_check(lambda n: create_protocol("dir0b", n), depth=0)
-
-    def test_render(self):
-        report = model_check(
-            lambda n: create_protocol("dir0b", n), n_caches=2, depth=2
-        )
-        assert "OK" in report.render()
+            model_check(Dir0B, **config)

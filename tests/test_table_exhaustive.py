@@ -2,30 +2,21 @@
 
 Hypothesis (``tests/test_backend_differential.py``) samples traces; this
 suite enumerates.  For every table-compiled protocol and 2, 3 and 4
-caches, a breadth-first search walks every single-block state the
-reference protocol can reach by data references — holder mask, dirty
-owner, the protocol's one per-block annotation, and whether the block has
-been seen — and on every edge steps a copy of a :class:`ReferencePipeline`
-and of a :class:`FastPipeline` by that one reference, asserting equal
-counter signatures.  Together the edges cover each reachable transition
-of each table once.
-
-Units are pre-registered with one instruction fetch per process (which
-generates no coherence traffic), so process ``i`` is cache ``i`` on both
-backends.
+caches, the model checker's state search, with reads and writes only,
+steps a :class:`FastPipeline` beside the reference on every edge and
+asserts equal counter signatures: the edges cover each reachable
+transition of each table once.  One instruction fetch per process (no
+coherence traffic) makes process ``i`` the fast backend's cache ``i``.
 """
 
 from __future__ import annotations
-
-import copy
-from collections import deque
 
 import pytest
 
 from conftest import trace_of
 from repro.core import SimulationCounters
 from repro.core.fastsim import FastPipeline
-from repro.core.pipeline import ReferencePipeline
+from repro.core.modelcheck import _explore
 from repro.interconnect.bus import BusOp
 from repro.protocols.directory.dirnnb import DirnNB
 from repro.protocols.registry import create_protocol, protocol_names
@@ -42,14 +33,6 @@ HOLDOUTS = (
     "dir2nb",
     "dir4nb",
 )
-
-#: The one per-block annotation a table protocol keeps beyond the sharing
-#: table (the table's aux column).
-ANNOTATIONS = {
-    "illinois": "_exclusive",
-    "writeonce": "_reserved",
-    "yenfu": "_single",
-}
 
 N_CACHES = (2, 3, 4)
 #: The protocols the fast backend runs a transition table for, with their
@@ -73,64 +56,36 @@ REACHABLE = {
     "wti": (4, 8, 16),
     "yenfu": (6, 11, 20),
 }
-BLOCK = 5
 _INSTR_ADDRESS = 1 << 20
 
 
-def _state(name: str, pipeline: ReferencePipeline):
-    protocol = pipeline.protocol
-    annotation = getattr(protocol, ANNOTATIONS.get(name, ""), {}).get(BLOCK)
-    return (
-        protocol.sharing.holders(BLOCK),
-        protocol.sharing.dirty_owner(BLOCK),
-        annotation,
-        protocol.seen(BLOCK),
-    )
+class _FastBeside:
+    """The fast backend, stepped beside the reference on every edge."""
 
+    def __init__(self, name: str, n_caches: int) -> None:
+        self.pipeline = FastPipeline(create_protocol(name, n_caches))
+        assert self.pipeline.uses_table
+        warmup = trace_of([(unit, "i", _INSTR_ADDRESS) for unit in range(n_caches)])
+        self.pipeline.feed(warmup, SimulationCounters())
 
-def _step(pipeline, cache: int, kind: str) -> dict:
-    counters = SimulationCounters()
-    pipeline.feed(trace_of([(cache, kind, BLOCK * 16)]), counters)
-    return counters.signature()
-
-
-def explore(name: str, n_caches: int):
-    """BFS the reachable single-block states; return (states, edges)."""
-    reference = ReferencePipeline(create_protocol(name, n_caches))
-    fast = FastPipeline(create_protocol(name, n_caches))
-    assert fast.uses_table
-    warmup = trace_of([(unit, "i", _INSTR_ADDRESS) for unit in range(n_caches)])
-    reference.feed(warmup, SimulationCounters())
-    fast.feed(warmup, SimulationCounters())
-    seen = {_state(name, reference)}
-    frontier = deque([(reference, fast)])
-    edges = 0
-    while frontier:
-        reference, fast = frontier.popleft()
-        for cache in range(n_caches):
-            for kind in "rw":
-                next_reference = copy.deepcopy(reference)
-                next_fast = copy.deepcopy(fast)
-                expected = _step(next_reference, cache, kind)
-                got = _step(next_fast, cache, kind)
-                assert got == expected, (
-                    f"{name} n_caches={n_caches}: cache {cache} {kind!r} from "
-                    f"{_state(name, reference)}"
-                )
-                edges += 1
-                state = _state(name, next_reference)
-                if state not in seen:
-                    seen.add(state)
-                    frontier.append((next_reference, next_fast))
-    return len(seen), edges
+    def step(self, step, expected: SimulationCounters) -> None:
+        cache, access, block = step
+        kind = "r" if access is AccessType.READ else "w"
+        counters = SimulationCounters()
+        self.pipeline.feed(trace_of([(cache, kind, block * 16)]), counters)
+        assert counters.signature() == expected.signature(), step
 
 
 @pytest.mark.parametrize("n_caches", N_CACHES)
 @pytest.mark.parametrize("name", sorted(REACHABLE))
 def test_every_reachable_transition_matches(name, n_caches):
-    states, edges = explore(name, n_caches)
-    assert states == REACHABLE[name][N_CACHES.index(n_caches)]
-    assert edges == states * 2 * n_caches
+    beside = _FastBeside(name, n_caches)
+    report, _ = _explore(
+        lambda n: create_protocol(name, n), n_caches, evictions=False, companion=beside
+    )
+    assert report.ok, report.render()
+    assert report.states == REACHABLE[name][N_CACHES.index(n_caches)]
+    assert report.edges == report.states * 2 * n_caches
 
 
 def test_table_protocols_are_exactly_the_compiled_set():
