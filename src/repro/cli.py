@@ -38,8 +38,11 @@ re-priced from the same counters.
 Resilience (see docs/robustness.md): ``sweep`` accepts ``--retries N``
 (per-cell retry budget with deterministic backoff), ``--cell-timeout S``
 (SIGKILL overruns), ``--keep-going``/``--max-failures N`` (record failures
-and finish the grid) and ``--resume`` (skip journaled successes after a
-crash; requires ``--cache-dir``).
+and finish the grid) and ``--resume`` (requires ``--cache-dir``).  Any
+rerun with the same ``--cache-dir`` serves the cells the cache holds and
+re-runs only failed or missing ones; ``--resume`` adds a log of what the
+sweep's journal already covers and a warning for each journaled success
+that is missing from the cache.
 
 Exit codes: 0 success; 1 runtime failure (a cell failed fail-fast, a
 model-check violation, an unwritable output); 2 usage, spec or
@@ -59,8 +62,9 @@ including worker-subprocess spans — as a Perfetto-loadable trace),
 ``REPRO_HEARTBEAT_SECONDS``) and ``--status-file FILE`` (where to publish
 the live status snapshot; defaults next to the journal with
 ``--cache-dir``); ``status`` renders a running sweep's snapshot from a
-different process; ``profile`` prints a per-stage wall-time breakdown of
-the pipeline.
+different process; ``profile`` runs its cells as a traced sweep (never
+from the cache) and prints each cell's stage spans: ``trace.generate``,
+``core.simulate``, ``report`` and the rest of the cell's wall time.
 
 Serving (see docs/service.md): ``serve`` runs the sweep runner as a
 long-lived HTTP job API rooted at ``--cache-dir`` — ``POST /sweeps``
@@ -78,7 +82,7 @@ import math
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .analysis import (
     directory_storage_bits,
@@ -95,10 +99,10 @@ from .obs import (
     MetricsRegistry,
     SpanRecorder,
     get_logger,
-    profile_spec,
     read_status,
     render_status,
     setup_logging,
+    stage_seconds,
 )
 from .protocols import (
     PAPER_CORE_SCHEMES,
@@ -379,9 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume",
         action="store_true",
         help=(
-            "resume an interrupted sweep from its journal (requires "
-            "--cache-dir): journaled successes are served from the cache, "
-            "only failed or missing cells re-run"
+            "report the sweep journal's coverage before rerunning (requires "
+            "--cache-dir): logs the journaled successes and failures and "
+            "warns about journaled successes missing from the cache; any "
+            "rerun with the same --cache-dir serves cached cells and re-runs "
+            "only failed or missing ones"
         ),
     )
     # Deliberately undocumented: deterministic fault injection for the
@@ -419,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile = sub.add_parser(
         "profile",
-        help="per-stage wall-time breakdown of the reference pipeline",
+        help="per-stage wall-time breakdown of each cell, from its spans",
     )
     profile.add_argument(
         "--protocols",
@@ -452,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics-json",
         default=None,
         metavar="FILE",
-        help="write the accumulated stage timers as JSON",
+        help="write the profiling sweep's metrics registry as JSON",
     )
 
     models = sub.add_parser(
@@ -913,31 +919,50 @@ def _cmd_finite(args: argparse.Namespace) -> None:
     print(report.render_metrics(), file=sys.stderr)
 
 
+def _profile_table(outcome, seconds: Dict[str, float]) -> str:
+    """One cell's stage table: seconds, share of the cell and ns/ref."""
+    spec = outcome.spec
+    refs = outcome.result.references
+    total = seconds["total"]
+    header = f"{'stage':<16}{'seconds':>10}{'% cell':>9}{'ns/ref':>10}"
+    lines = [
+        f"Cell profile: {spec.protocol} / {spec.trace} (geometry "
+        f"{spec.geometry or 'inf'}, backend {spec.backend}, {refs:,} refs)",
+        header,
+        "-" * len(header),
+    ]
+    for name, value in seconds.items():
+        share = 100.0 * value / total if total else 0.0
+        ns = 1e9 * value / refs if refs else 0.0
+        lines.append(f"{name:<16}{value:>10.4f}{share:>8.1f}%{ns:>10.0f}")
+    rate = refs / total if total else 0.0
+    lines.append(f"throughput: {rate:,.0f} refs/s over the whole cell")
+    return "\n".join(lines)
+
+
 def _cmd_profile(args: argparse.Namespace) -> None:
-    if args.backend != "reference":
-        raise UsageError(
-            "profile times the reference pipeline's stages; --backend "
-            f"{args.backend} is not supported here (use --backend reference)"
-        )
-    registry = MetricsRegistry()
-    first = True
-    for protocol in args.protocols:
-        for trace in args.traces:
-            spec = RunSpec(
-                protocol=protocol,
-                trace=trace,
-                scale=_scale(args),
-                n_caches=args.n_caches,
-                geometry=args.geometry,
-            )
-            report = profile_spec(spec, registry=registry)
-            if not first:
-                print()
-            first = False
-            print(report.render())
+    # A cache hit records no stages, so profile never reads the cache.
+    specs = sweep_grid(
+        tuple(args.protocols),
+        traces=tuple(args.traces),
+        scale=_scale(args),
+        n_caches=args.n_caches,
+        geometries=(args.geometry,),
+        backend=args.backend,
+    )
+    recorder = SpanRecorder()
+    report = run_sweep(
+        list(dict.fromkeys(specs)), jobs=_jobs(args), telemetry=recorder
+    )
+    cells = {span.name: span for span in recorder.spans if span.kind == "cell"}
+    for index, outcome in enumerate(report.outcomes):
+        if index:
+            print()
+        cell = cells[outcome.spec.cell_id()]
+        print(_profile_table(outcome, stage_seconds(recorder.spans, cell)))
     if args.metrics_json:
         try:
-            registry.write_json(args.metrics_json)
+            report.registry.write_json(args.metrics_json)
         except OSError as error:
             raise SystemExit(f"cannot write {args.metrics_json}: {error}")
         print(f"wrote metrics to {args.metrics_json}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Observability: probes, metrics, manifests, structured logging, profiling.
+"""Observability: probes, metrics, manifests, structured logging, spans.
 
 The paper's whole methodology is counting, and this subsystem makes the
 reproduction's own execution countable too:
@@ -11,11 +11,11 @@ reproduction's own execution countable too:
   to every executed sweep cell and serialised next to cached results;
 * :mod:`repro.obs.log` — structured (optionally JSON-lines) logging behind
   the CLI's ``--log-level``/``-v``/``--log-json`` flags;
-* :mod:`repro.obs.profile` — per-stage wall-time attribution behind the
-  ``repro-coherence profile`` verb;
 * :mod:`repro.obs.telemetry` — distributed sweep telemetry: hierarchical
-  spans joined across worker processes, atomic status snapshots and the
-  ``repro-coherence status`` live view;
+  spans joined across worker processes, the per-cell stage spans
+  (``trace.generate``, ``core.simulate``, ``report``) that the
+  ``repro-coherence profile`` verb tabulates, atomic status snapshots and
+  the ``repro-coherence status`` live view;
 * :mod:`repro.obs.benchgate` — the benchmark-history ledger and
   regression gate behind ``tools/bench_history.py``.
 
@@ -34,13 +34,13 @@ from .metrics import (
     set_registry,
 )
 from .probe import ChromeTraceSink, CollectingProbe, JsonlSink, ReferenceProbe
-from .profile import ProfileReport, STAGES, profile_spec
 from .telemetry import (
     SPAN_KINDS,
     Span,
     SpanRecorder,
     read_status,
     render_status,
+    stage_seconds,
     write_status,
 )
 
@@ -64,13 +64,11 @@ __all__ = [
     "CollectingProbe",
     "JsonlSink",
     "ReferenceProbe",
-    "ProfileReport",
-    "STAGES",
-    "profile_spec",
     "SPAN_KINDS",
     "Span",
     "SpanRecorder",
     "read_status",
     "render_status",
+    "stage_seconds",
     "write_status",
 ]

@@ -16,6 +16,14 @@ with :meth:`SpanRecorder.ingest`.  The hierarchy is
 the sweep's decision points: ``cache_hit``, ``reprice``, ``retry``,
 ``timeout`` and ``fault``.
 
+**Stages.**  A stage span is opened where its work happens, by
+:func:`stage`: :meth:`~repro.runner.spec.RunSpec.run` times
+``trace.generate`` and ``core.simulate``, and the attempt itself times
+``report``.  :func:`attempt_scope` names the recorder and attempt span
+those stages hang under for the length of one attempt; outside one, a
+stage is a ``nullcontext`` and creates no span.  ``repro-coherence
+profile`` prints these stages per cell (:func:`stage_seconds`).
+
 **Chrome-trace export.**  :meth:`SpanRecorder.write_chrome_trace` reuses
 :class:`~repro.obs.probe.ChromeTraceSink` — each OS pid that recorded a
 span becomes a process track, each span a complete slice (``ts``/``dur``
@@ -43,19 +51,36 @@ from __future__ import annotations
 import json
 import os
 import time
+from contextlib import contextmanager, nullcontext
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import (
+    ContextManager,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from .probe import ChromeTraceSink
 
 __all__ = [
+    "CELL_STAGES",
     "SPAN_KINDS",
     "Span",
     "SpanContext",
     "SpanRecorder",
+    "attempt_scope",
     "read_status",
     "render_status",
+    "stage",
+    "stage_seconds",
     "write_status",
 ]
 
@@ -72,6 +97,9 @@ SPAN_KINDS = (
     "timeout",
     "fault",
 )
+
+#: The stage spans one cell attempt records, in the order it runs them.
+CELL_STAGES = ("trace.generate", "core.simulate", "report")
 
 #: Schema version stamped into status snapshots.
 STATUS_SCHEMA_VERSION = 1
@@ -305,6 +333,64 @@ class SpanRecorder:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"SpanRecorder(trace_id={self.trace_id!r}, spans={len(self.spans)})"
+
+
+# -- stages --------------------------------------------------------------------
+
+#: ``(recorder, attempt span, tid)`` of the attempt running in this
+#: context, or ``None`` when no recorder is watching.
+_ATTEMPT: ContextVar[Optional[Tuple[SpanRecorder, _ActiveSpan, int]]] = (
+    ContextVar("repro_attempt", default=None)
+)
+
+
+@contextmanager
+def attempt_scope(
+    recorder: Optional[SpanRecorder], span: Optional[_ActiveSpan], tid: int = 0
+) -> Iterator[None]:
+    """Hang every :func:`stage` opened in the block under ``span``.
+
+    With ``recorder=None`` the block's stages record nothing, even when an
+    enclosing scope has a recorder.
+    """
+    token = _ATTEMPT.set(None if recorder is None else (recorder, span, tid))
+    try:
+        yield
+    finally:
+        _ATTEMPT.reset(token)
+
+
+def stage(name: str) -> ContextManager[object]:
+    """A stage span under the current attempt; a no-op outside one."""
+    current = _ATTEMPT.get()
+    if current is None:
+        return nullcontext()
+    recorder, parent, tid = current
+    return recorder.span(name, kind="stage", parent=parent, tid=tid)
+
+
+def stage_seconds(spans: Sequence[Span], cell: Span) -> Dict[str, float]:
+    """Where one cell span's wall time went, stage by stage.
+
+    Sums the :data:`CELL_STAGES` spans under each of the cell's attempts,
+    then adds ``other`` (the cell's time outside every stage: dispatch
+    and, for a worker cell, its process spawn and result pipe) and
+    ``total`` (the cell span's duration), so the stage rows and ``other``
+    add up to ``total``.
+    """
+    attempts = {
+        span.span_id
+        for span in spans
+        if span.kind == "attempt" and span.parent_id == cell.span_id
+    }
+    seconds = dict.fromkeys(CELL_STAGES, 0.0)
+    for span in spans:
+        if span.kind == "stage" and span.parent_id in attempts:
+            seconds[span.name] = seconds.get(span.name, 0.0) + span.duration_s
+    total = cell.duration_s
+    seconds["other"] = max(0.0, total - sum(seconds.values()))
+    seconds["total"] = total
+    return seconds
 
 
 # -- status snapshots ----------------------------------------------------------

@@ -38,7 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .table import TransitionTable
 
 from ..interconnect.bus import BusOp
-from ..memory.sharing import NO_OWNER, SharingTable, bit_count
+from ..memory.sharing import NO_OWNER, SharingTable
 from ..trace.record import AccessType
 from .events import Event
 
@@ -172,13 +172,6 @@ class CoherenceProtocol(abc.ABC):
         return None
 
     # -- helpers for subclasses ------------------------------------------------
-
-    def _remote_mask(self, cache: int, block: int) -> int:
-        return self.sharing.remote_holders(block, cache)
-
-    @staticmethod
-    def _fanout(mask: int) -> int:
-        return bit_count(mask)
 
     def _remote_dirty_owner(self, cache: int, block: int) -> int:
         """Dirty owner of ``block`` if it is a cache other than ``cache``."""

@@ -46,7 +46,6 @@ import multiprocessing
 import os
 import time
 import traceback
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
 from multiprocessing.connection import wait as wait_connections
@@ -54,7 +53,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..obs.manifest import collect_manifest
 from ..obs.metrics import MetricsRegistry, set_registry
-from ..obs.telemetry import SpanRecorder
+from ..obs.telemetry import SpanRecorder, attempt_scope, stage
 
 __all__ = ["CellEvent", "CellExecutor", "run_attempt"]
 
@@ -77,7 +76,9 @@ def run_attempt(
     Fires the fault plan's worker faults for (cell, ``attempt``), runs
     ``spec.run(probe=probe)``, times it and collects the run manifest.
     With a ``recorder`` the attempt records an ``attempt`` span under
-    ``parent`` holding ``simulate`` and ``report`` stage spans.
+    ``parent``; the run's ``trace.generate`` and ``core.simulate`` stages
+    and the attempt's own ``report`` stage hang under it
+    (:func:`~repro.obs.telemetry.attempt_scope`).
 
     Returns the message the executor's result pipe carries, before its
     telemetry fields: ``("ok", result, elapsed, pid, manifest)``, or
@@ -93,23 +94,17 @@ def run_attempt(
             f"attempt {attempt}", kind="attempt", parent=parent, tid=tid,
             attempt=attempt, cell=cell,
         )
-
-    def stage(name: str):
-        if recorder is None:
-            return nullcontext()
-        return recorder.span(name, kind="stage", parent=span, tid=tid)
-
     start = time.perf_counter()
     try:
-        if faults is not None:
-            faults.fire_worker_faults(cell, attempt, allow_kill=allow_kill)
-        with stage("simulate"):
+        with attempt_scope(recorder, span, tid):
+            if faults is not None:
+                faults.fire_worker_faults(cell, attempt, allow_kill=allow_kill)
             result = spec.run(probe=probe)
-        elapsed = time.perf_counter() - start
-        with stage("report"):
-            manifest = collect_manifest(
-                spec.as_dict(), spec.cache_key(), elapsed, worker_pid=pid
-            )
+            elapsed = time.perf_counter() - start
+            with stage("report"):
+                manifest = collect_manifest(
+                    spec.as_dict(), spec.cache_key(), elapsed, worker_pid=pid
+                )
     except Exception as exc:  # noqa: BLE001 - a failed attempt is an event
         elapsed = time.perf_counter() - start
         if span is not None:

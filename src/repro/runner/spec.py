@@ -31,6 +31,7 @@ from ..characterization import Characterization, load_characterization
 from ..core.simulator import BACKENDS, SimulationResult, simulate
 from ..interconnect.bus import BusCostModel, pipelined_bus
 from ..memory.cache import CacheGeometry
+from ..obs.telemetry import stage
 from ..protocols.base import CoherenceProtocol
 from ..protocols.registry import (
     PAPER_CORE_SCHEMES,
@@ -267,18 +268,23 @@ class RunSpec:
 
         ``probe`` is an optional :class:`~repro.obs.probe.ReferenceProbe`
         streaming the cell's per-reference events; it never changes the
-        counted result.
+        counted result.  Inside a traced sweep attempt, trace generation
+        and the simulation record ``trace.generate`` and ``core.simulate``
+        stage spans.
         """
-        return simulate(
-            self.build_protocol(),
-            self.build_trace(),
-            trace_name=self.trace,
-            block_size=self.block_size,
-            sharing_model=self.sharing_model,
-            geometry=self.build_geometry(),
-            probe=probe,
-            backend=self.backend,
-        )
+        with stage("trace.generate"):
+            trace = self.build_trace()
+        with stage("core.simulate"):
+            return simulate(
+                self.build_protocol(),
+                trace,
+                trace_name=self.trace,
+                block_size=self.block_size,
+                sharing_model=self.sharing_model,
+                geometry=self.build_geometry(),
+                probe=probe,
+                backend=self.backend,
+            )
 
 
 def sweep_grid(

@@ -708,9 +708,7 @@ def run_sweep(
                 extra=fields(
                     done=done,
                     total=len(specs),
-                    simulated=sum(
-                        1 for o in finished if o.ok and not o.cached
-                    ),
+                    simulated=registry.counter("sweep.simulated").value,
                     failed=sum(1 for o in finished if not o.ok),
                     references=sum(
                         o.result.references for o in finished if o.ok

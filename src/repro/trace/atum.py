@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import struct
 from pathlib import Path
-from typing import Iterable, Iterator, List, Union
+from typing import Iterable, Iterator, Union
 
 from .record import AccessType, TraceRecord
 
@@ -154,9 +154,3 @@ def read_binary(path: PathLike) -> Iterator[TraceRecord]:
                 is_lock_spin=bool(tag & _FLAG_LOCK_SPIN),
                 is_os=bool(tag & _FLAG_OS),
             )
-
-
-def round_trip_check(trace: List[TraceRecord], path: PathLike) -> bool:
-    """Write then re-read a trace in binary form and compare (debug helper)."""
-    write_binary(path, trace)
-    return list(read_binary(path)) == trace

@@ -391,45 +391,86 @@ class TestObservability:
         assert main(FAST + ["profile", "--protocols", "dir1nb"]) == 0
         out = capsys.readouterr().out
         assert "dir1nb / POPS" in out
-        for stage in (
-            "trace-generation",
-            "geometry-stage",
-            "protocol-transition",
-            "counter-accounting",
-        ):
-            assert stage in out
-        assert "refs/sec" in out
+        for row in ("trace.generate", "core.simulate", "report", "other", "total"):
+            assert row in out
+        assert "refs/s" in out
 
-    def test_profile_grid_and_metrics_json(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--backend", "reference", "profile"],
+            ["--backend", "fast", "profile"],
+            ["--jobs", "2", "--backend", "fast", "profile"],
+            ["profile", "--geometry", "8x2"],
+        ],
+        ids=["reference", "fast", "jobs2", "geometry"],
+    )
+    def test_profile_rows_add_up_to_each_cell_span(
+        self, flags, capsys, monkeypatch
+    ):
+        """Every printed table's stage rows plus its non-negative other
+        row sum to the cell span the sweep recorded for that cell."""
+        import repro.cli as cli
+        from repro.obs.telemetry import CELL_STAGES, stage_seconds
+
+        recorders = []
+
+        class KeptRecorder(cli.SpanRecorder):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                recorders.append(self)
+
+        monkeypatch.setattr(cli, "SpanRecorder", KeptRecorder)
+        argv = FAST + flags + ["--protocols", "dir1nb", "dir4nb"]
+        assert main(argv) == 0
+        tables = capsys.readouterr().out.strip().split("\n\n")
+        (recorder,) = recorders
+        cells = {
+            tuple(span.name.split(":")[:2]): span
+            for span in recorder.spans
+            if span.kind == "cell"
+        }
+        assert len(tables) == len(cells) == 2
+        for table in tables:
+            lines = table.splitlines()
+            protocol, _, trace = lines[0].split(": ")[1].split()[:3]
+            rows = {
+                line.split()[0]: float(line.split()[1]) for line in lines[3:-1]
+            }
+            assert list(rows) == [
+                "trace.generate", "core.simulate", "report", "other", "total",
+            ]
+            assert rows["other"] >= 0.0
+            parts = sum(value for name, value in rows.items() if name != "total")
+            assert parts == pytest.approx(rows["total"], abs=3e-4)
+            cell = cells[(protocol, trace)]
+            assert rows["total"] == pytest.approx(cell.duration_s, abs=1e-4)
+            seconds = stage_seconds(recorder.spans, cell)
+            assert all(seconds[name] > 0.0 for name in CELL_STAGES)
+            parts = sum(seconds[name] for name in (*CELL_STAGES, "other"))
+            assert parts == pytest.approx(seconds["total"])
+            assert seconds["total"] == cell.duration_s
+
+    def test_profile_simulates_cells_the_cache_holds(self, tmp_path, capsys):
+        """A cache hit has no stages, so profile never reads the cache."""
         import json
 
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        sweep = ["sweep", "--schemes", "dir0b", "--traces", "POPS"]
+        assert main(FAST + cache + sweep) == 0
+        assert main(FAST + cache + sweep) == 0
+        assert "(0 simulated, 1 cached," in capsys.readouterr().err
         metrics = tmp_path / "profile.json"
         assert main(
-            FAST
-            + [
-                "profile",
-                "--protocols",
-                "dir0b",
-                "dragon",
-                "--traces",
-                "POPS",
-                "--metrics-json",
-                str(metrics),
-            ]
+            FAST + cache
+            + ["profile", "--protocols", "dir0b", "dragon",
+               "--metrics-json", str(metrics)]
         ) == 0
         out = capsys.readouterr().out
         assert "dir0b / POPS" in out and "dragon / POPS" in out
-        payload = json.loads(metrics.read_text())
-        # Two runs accumulated into one registry.
-        assert payload["timers"]["profile.wall"]["count"] == 2
-
-    def test_profile_rejects_the_fast_backend(self, capsys):
-        """profile times the reference loop only; asking for the fast
-        backend is a usage error, not a silently different measurement."""
-        assert main(FAST + ["--backend", "fast", "profile"]) == 2
-        captured = capsys.readouterr()
-        assert "--backend" in captured.err
-        assert "Pipeline profile" not in captured.out
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters["sweep.simulated"] == 2
+        assert counters.get("sweep.cache_hits", 0) == 0
 
     def test_profile_accepts_schemes_alias(self):
         args = build_parser().parse_args(["profile", "--schemes", "wti"])

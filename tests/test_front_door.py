@@ -3,8 +3,8 @@
 Every simulation in ``src/repro`` goes through ``simulate()``, reached
 either through ``RunSpec.run()`` (grids, sweeps, the service) or through
 ``run_comparison`` (caller-supplied traces: the analyses).  The reference
-pipeline is built only by the core engine and the stage profiler, and a
-run feeds its whole trace once.  These checks read the source's syntax
+pipeline is built only by the core engine, and a run feeds its whole
+trace once.  These checks read the source's syntax
 tree, so a new private feed loop, or a second feed-and-merge path, fails
 here rather than drifting from the sweep engine unnoticed.
 
@@ -28,12 +28,11 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 SIMULATE_CALLERS = {"runner/spec.py", "core/comparison.py"}
 
 #: The only (module, function) pairs allowed to call ``.feed(...)``: the
-#: run wrapper, the value oracle and the stage profiler.  The fast backend's
-#: reference fallback steps the pipeline per decoded reference instead.
+#: run wrapper and the value oracle.  The fast backend's reference fallback
+#: steps the pipeline per decoded reference instead.
 FEED_CALLERS = {
     ("core/pipeline.py", "run"),
     ("core/oracle.py", "validate_coherence"),
-    ("obs/profile.py", "profile_spec"),
 }
 
 
@@ -94,20 +93,16 @@ def _feed_callers(node: ast.AST, module: str, function: str, found: set) -> None
         _feed_callers(child, module, function, found)
 
 
-def test_feed_is_called_only_by_the_three_single_pass_drivers():
+def test_feed_is_called_only_by_the_two_single_pass_drivers():
     callers: set = set()
     for module, tree in _trees().items():
         _feed_callers(tree, module, "<module>", callers)
     assert callers == FEED_CALLERS, sorted(callers ^ FEED_CALLERS)
 
 
-def test_reference_pipeline_is_built_only_by_the_core_and_the_profiler():
+def test_reference_pipeline_is_built_only_by_the_core():
     builders = _callers_of("ReferencePipeline")
-    strays = [
-        module
-        for module in builders
-        if not module.startswith("core/") and module != "obs/profile.py"
-    ]
+    strays = [module for module in builders if not module.startswith("core/")]
     assert not strays, strays
 
 

@@ -17,7 +17,6 @@ from repro.obs import (
     MetricsRegistry,
     RunManifest,
     collect_manifest,
-    profile_spec,
 )
 from repro.obs import metrics as metrics_module
 from repro.obs.log import fields, get_logger, setup_logging
@@ -315,45 +314,6 @@ class TestCorruptCacheEntries:
         assert not again.outcomes[0].cached  # resimulated, not trusted
         assert again.cell_table() == fresh.cell_table()
         assert cache.get(spec.cache_key()) is not None  # rewritten
-
-
-class TestProfile:
-    def test_profile_matches_unprofiled_counts(self):
-        spec = RunSpec(protocol="dir1nb", trace="POPS", scale=SCALE)
-        report = profile_spec(spec)
-        assert _snapshot(report.result) == _snapshot(spec.run())
-
-    def test_stage_breakdown_and_render(self):
-        spec = RunSpec(protocol="dir0b", trace="POPS", scale=SCALE)
-        report = profile_spec(spec)
-        assert set(report.stages) == {
-            "trace-generation",
-            "geometry-stage",
-            "protocol-transition",
-            "counter-accounting",
-        }
-        assert sum(report.stages.values()) <= report.wall_seconds
-        assert report.refs_per_sec > 0
-        rendered = report.render()
-        assert "trace-generation" in rendered and "refs/sec" in rendered
-        assert "dir0b / POPS" in rendered
-
-    def test_finite_geometry_attributes_stage_time(self):
-        spec = RunSpec(protocol="dir0b", trace="POPS", scale=SCALE, geometry="8x2")
-        report = profile_spec(spec)
-        assert report.stages["geometry-stage"] > 0.0
-        assert "geometry 8x2" in report.render()
-
-    def test_shared_registry_reports_per_run_deltas(self):
-        registry = MetricsRegistry()
-        spec = RunSpec(protocol="dir0b", trace="POPS", scale=SCALE)
-        first = profile_spec(spec, registry=registry)
-        second = profile_spec(spec, registry=registry)
-        total = registry.timer("profile.protocol-transition").total_seconds
-        assert (
-            first.stages["protocol-transition"]
-            + second.stages["protocol-transition"]
-        ) == pytest.approx(total)
 
 
 class TestStructuredLogging:

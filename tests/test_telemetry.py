@@ -8,9 +8,11 @@ protocol.
 """
 
 import importlib.util
+import logging
 import os
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,7 +28,7 @@ from repro.obs import (
     set_registry,
     write_status,
 )
-from repro.obs.telemetry import SPAN_KINDS, Span
+from repro.obs.telemetry import SPAN_KINDS, Span, attempt_scope, stage
 from repro.protocols.registry import PROTOCOLS
 from repro.resilience import FaultPlan, FaultSpec
 from repro.runner import ResultCache, RunSpec, run_sweep
@@ -170,6 +172,20 @@ class TestSpanRecorder:
         validator = _load_validator()
         summary = validator.validate_trace(destination)
         assert "OK" in summary and "spans" in summary
+
+    def test_stages_hang_under_the_scoped_attempt_only(self):
+        assert isinstance(stage("trace.generate"), nullcontext)
+        recorder = SpanRecorder()
+        attempt = recorder.begin("attempt 1", kind="attempt")
+        with attempt_scope(recorder, attempt, tid=3):
+            with stage("trace.generate"):
+                pass
+            with attempt_scope(None, None):
+                assert isinstance(stage("core.simulate"), nullcontext)
+        assert isinstance(stage("report"), nullcontext)
+        (span,) = recorder.spans
+        assert (span.name, span.kind, span.tid) == ("trace.generate", "stage", 3)
+        assert span.parent_id == attempt.span_id
 
     def test_chrome_trace_with_no_spans_raises(self, tmp_path):
         with pytest.raises(ValueError, match="no spans"):
@@ -327,13 +343,21 @@ class TestSweepTelemetry:
         }
         assert os.getpid() not in worker_pids
         assert len(worker_pids) >= 2
+        attempts = {s.span_id for s in recorder.spans if s.kind == "attempt"}
+        stages = [s for s in recorder.spans if s.kind == "stage"]
+        assert {s.parent_id for s in stages} == attempts
+        for attempt in attempts:
+            assert sorted(s.name for s in stages if s.parent_id == attempt) == [
+                "core.simulate", "report", "trace.generate",
+            ]
         destination = tmp_path / "sweep-spans.json"
         recorder.write_chrome_trace(destination)
         assert "OK" in _load_validator().validate_trace(destination)
 
     def test_inline_cells_record_attempt_and_stage_spans(self):
-        """An inline cell records the attempt -> simulate/report stage
-        spans a worker cell does, in the sweep's own process."""
+        """An inline cell records the attempt -> trace.generate /
+        core.simulate / report stage spans a worker cell does, in the
+        sweep's own process."""
         recorder = SpanRecorder()
         report = run_sweep(_specs(("dir0b",)), jobs=1, telemetry=recorder)
         assert len(report.failures) == 0
@@ -344,9 +368,28 @@ class TestSweepTelemetry:
         (attempt,) = by_kind["attempt"]
         assert attempt.parent_id == cell.span_id
         assert attempt.attributes["status"] == "ok"
-        assert sorted(s.name for s in by_kind["stage"]) == ["report", "simulate"]
+        assert sorted(s.name for s in by_kind["stage"]) == [
+            "core.simulate", "report", "trace.generate",
+        ]
         assert {s.parent_id for s in by_kind["stage"]} == {attempt.span_id}
         assert {s.pid for s in recorder.spans} == {os.getpid()}
+
+    def test_no_span_is_built_without_a_recorder(self, monkeypatch):
+        import repro.obs.telemetry as telemetry
+
+        built = []
+
+        class CountedSpan(telemetry.Span):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self.name)
+
+        monkeypatch.setattr(telemetry, "Span", CountedSpan)
+        report = run_sweep(_specs(("dir0b", "dir4nb")), jobs=1)
+        assert len(report.failures) == 0
+        assert built == []
+        run_sweep(_specs(("dir0b",)), jobs=1, telemetry=SpanRecorder())
+        assert "trace.generate" in built  # the counting patch is live
 
     def test_fault_and_retry_markers_recorded(self):
         recorder = SpanRecorder()
@@ -461,6 +504,38 @@ class TestHeartbeatConfig:
         monkeypatch.setenv(HEARTBEAT_ENV, "soon")
         with pytest.raises(ValueError, match=HEARTBEAT_ENV):
             _resolve_heartbeat(None)
+
+    def test_heartbeat_does_not_count_repriced_cells_as_simulated(
+        self, caplog
+    ):
+        """Two pricings of one simulation: the progress line, the report
+        and the registry all say one cell was simulated."""
+        specs = [
+            RunSpec(
+                protocol="dir0b", trace="POPS", scale=SCALE, seed=11,
+                characterization=name,
+            )
+            for name in ("pipelined", "non-pipelined")
+        ]
+        # setup_logging (run by any earlier CLI test) stops propagation at
+        # the "repro" root; re-enable it so caplog's root handler sees us.
+        root = logging.getLogger("repro")
+        propagate = root.propagate
+        root.propagate = True
+        try:
+            with caplog.at_level(logging.INFO, logger="repro.runner.sweep"):
+                report = run_sweep(specs, heartbeat_seconds=1e-9)
+        finally:
+            root.propagate = propagate
+        beats = [
+            record.fields
+            for record in caplog.records
+            if record.getMessage() == "sweep progress"
+        ]
+        assert beats and beats[-1]["done"] == 2
+        assert report.simulations == 1 and report.repricings == 1
+        assert report.registry.counter("sweep.simulated").value == 1
+        assert [beat["simulated"] for beat in beats] == [1] * len(beats)
 
     def test_zero_heartbeat_sweep_still_writes_start_and_end(self, tmp_path):
         status = tmp_path / "s.status.json"
