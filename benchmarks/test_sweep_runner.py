@@ -45,6 +45,11 @@ def test_sweep_throughput_and_cache_latency(tmp_path_factory, save_result):
     warm_wall = time.perf_counter() - start
     assert warm.simulations == 0
     assert warm.cell_table() == serial.cell_table()
+    # Inline cells share one trace per distinct profile (3 traces); each
+    # worker cell generates its own; a warm sweep generates none.
+    assert serial.trace_generations == cold.trace_generations == 3
+    assert parallel.trace_generations == (len(specs) if SWEEP_JOBS > 1 else 3)
+    assert warm.trace_generations == 0
 
     payload = {
         "grid": {

@@ -857,11 +857,25 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if report.failures:
         print(
             f"sweep: {len(report.failures)}/{report.cells} cells failed "
-            "(see failure table; rerun with --resume to retry them)",
+            f"(see failure table; {_resume_hint(args)})",
             file=sys.stderr,
         )
         return 3
     return 0
+
+
+def _resume_hint(args: argparse.Namespace) -> str:
+    """How to finish the cells a failed or interrupted sweep left undone.
+
+    Finished cells survive only in the result cache (``--emit-trace``
+    bypasses it), and ``--resume`` exists only on ``sweep``, so the hint
+    never advises a flag that would exit 2.
+    """
+    if not getattr(args, "cache_dir", None) or getattr(args, "emit_trace", None):
+        return "nothing was cached: rerun with --cache-dir DIR to make it resumable"
+    if hasattr(args, "resume"):
+        return "finished cells are cached: rerun with --resume to retry the rest"
+    return "finished cells are cached: rerun with the same --cache-dir"
 
 
 def _cmd_models(args: argparse.Namespace) -> None:
@@ -1232,8 +1246,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(
             f"repro-coherence: interrupted: {len(report.outcomes)}/"
             f"{error.total} cells completed "
-            f"({len(report.failures)} of them failed); completed results "
-            "were flushed to the cache and journal — rerun with --resume",
+            f"({len(report.failures)} of them failed); {_resume_hint(args)}",
             file=sys.stderr,
         )
         if report.outcomes:

@@ -70,15 +70,18 @@ def run_attempt(
     tid: int = 0,
     probe=None,
     allow_kill: bool = True,
+    traces=None,
 ) -> Tuple:
     """One cell attempt, in a worker process or inline in the sweep's own.
 
     Fires the fault plan's worker faults for (cell, ``attempt``), runs
-    ``spec.run(probe=probe)``, times it and collects the run manifest.
-    With a ``recorder`` the attempt records an ``attempt`` span under
-    ``parent``; the run's ``trace.generate`` and ``core.simulate`` stages
-    and the attempt's own ``report`` stage hang under it
-    (:func:`~repro.obs.telemetry.attempt_scope`).
+    ``spec.run(probe=probe, traces=traces)``, times it and collects the
+    run manifest; ``traces`` is the caller's trace memo (see
+    :meth:`~repro.runner.spec.RunSpec.run`), and a trace the attempt
+    generates is left in it.  With a ``recorder`` the attempt records an
+    ``attempt`` span under ``parent``; the run's ``trace.generate`` and
+    ``core.simulate`` stages and the attempt's own ``report`` stage hang
+    under it (:func:`~repro.obs.telemetry.attempt_scope`).
 
     Returns the message the executor's result pipe carries, before its
     telemetry fields: ``("ok", result, elapsed, pid, manifest)``, or
@@ -99,7 +102,7 @@ def run_attempt(
         with attempt_scope(recorder, span, tid):
             if faults is not None:
                 faults.fire_worker_faults(cell, attempt, allow_kill=allow_kill)
-            result = spec.run(probe=probe)
+            result = spec.run(probe=probe, traces=traces)
             elapsed = time.perf_counter() - start
             with stage("report"):
                 manifest = collect_manifest(
@@ -128,9 +131,10 @@ def _cell_worker(
     """Child entry point: run one attempt and report it on the pipe.
 
     The attempt runs against a fresh process-wide registry, whose snapshot
-    travels back as the event's metrics delta; with a ``span_context``
-    the attempt also records its span subtree (attempt → stages) for the
-    parent to ingest.
+    travels back as the event's metrics delta, with
+    ``sweep.trace_generations`` counting the trace the attempt generated
+    (a worker shares no trace); with a ``span_context`` the attempt also
+    records its span subtree (attempt → stages) for the parent to ingest.
     """
     registry = MetricsRegistry()
     set_registry(registry)
@@ -146,8 +150,13 @@ def _cell_worker(
             delta = None
         return delta, recorder.serialized() if recorder is not None else []
 
+    traces: dict = {}
     try:
-        message = run_attempt(spec, attempt, faults, recorder, parent)
+        message = run_attempt(
+            spec, attempt, faults, recorder, parent, traces=traces
+        )
+        if traces:
+            registry.counter("sweep.trace_generations").inc()
         conn.send(message + _telemetry())
     except BaseException as exc:  # noqa: BLE001 - everything becomes an event
         conn.send(

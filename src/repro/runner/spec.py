@@ -263,17 +263,25 @@ class RunSpec:
 
     # -- execution -----------------------------------------------------------
 
-    def run(self, probe=None) -> SimulationResult:
-        """Simulate this cell from scratch (no cache involved).
+    def run(self, probe=None, traces=None) -> SimulationResult:
+        """Simulate this cell from scratch (no result cache involved).
 
         ``probe`` is an optional :class:`~repro.obs.probe.ReferenceProbe`
         streaming the cell's per-reference events; it never changes the
-        counted result.  Inside a traced sweep attempt, trace generation
-        and the simulation record ``trace.generate`` and ``core.simulate``
-        stage spans.
+        counted result.  ``traces`` is a ``{profile: trace}`` memo shared
+        by the cells of one sweep: the trace is looked up by
+        :meth:`profile`, the only input :meth:`build_trace` reads, and
+        generated and stored on a miss.  Inside a traced sweep attempt,
+        generation and the simulation record ``trace.generate`` and
+        ``core.simulate`` stage spans; a memo hit records no
+        ``trace.generate``.
         """
-        with stage("trace.generate"):
-            trace = self.build_trace()
+        traces = {} if traces is None else traces
+        profile = self.profile()
+        trace = traces.get(profile)
+        if trace is None:
+            with stage("trace.generate"):
+                trace = traces[profile] = self.build_trace()
         with stage("core.simulate"):
             return simulate(
                 self.build_protocol(),

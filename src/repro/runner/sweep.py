@@ -17,6 +17,12 @@ the cache under both the full key and the base key, so a *later* sweep with
 a brand-new characterization file re-prices from disk without simulating at
 all.  See ``docs/characterization.md``.
 
+Trace sharing (the paper's one trace under every scheme): inline, pending
+cells with the same :meth:`~repro.runner.spec.RunSpec.profile` share one
+generated trace, made by the first of them and dropped after the last, so
+a cold pass generates each distinct trace once (``sweep.trace_generations``).
+Worker cells generate their own.  See ``docs/runner.md``.
+
 Resilience (see ``docs/robustness.md``): cells execute one process per
 attempt through :class:`~repro.resilience.executor.CellExecutor`, so a
 cell that raises, hangs past ``cell_timeout`` (SIGKILLed by the parent) or
@@ -78,6 +84,7 @@ from __future__ import annotations
 import math
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -187,6 +194,9 @@ class SweepReport:
     #: the sweep's metrics (wall/cell timers, cache counters); always set by
     #: :func:`run_sweep`, defaulted for hand-built reports in tests
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
+    #: traces this sweep generated (its share of ``sweep.trace_generations``;
+    #: inline cells sharing a profile share one trace)
+    trace_generations: int = 0
 
     # -- counts ----------------------------------------------------------------
 
@@ -398,7 +408,8 @@ class SweepReport:
             f"in {self.wall_time:.2f}s wall, jobs={self.jobs}",
             f"refs: {self.total_references:,} total, "
             f"{self.simulated_references:,} simulated, "
-            f"{self.refs_per_sec:,.0f} refs/sec",
+            f"{self.refs_per_sec:,.0f} refs/sec, "
+            f"{self.trace_generations} traces generated",
             f"cache: {self.cache_hits} hits, "
             f"{self.cache_hit_rate:.1%} hit rate",
         ]
@@ -425,6 +436,7 @@ class SweepReport:
             "total_references": self.total_references,
             "simulated_references": self.simulated_references,
             "refs_per_sec": self.refs_per_sec,
+            "trace_generations": self.trace_generations,
             "workers": {
                 str(pid): {"cells": cells, "simulation_s": seconds}
                 for pid, (cells, seconds) in sorted(self.worker_timings().items())
@@ -572,6 +584,7 @@ def run_sweep(
 
     wall = registry.timer("sweep.wall_seconds")
     wall_before = wall.total_seconds
+    generations_before = registry.counter_value("sweep.trace_generations")
     registry.gauge("sweep.jobs").set(jobs)
     registry.counter("sweep.cells").inc(len(specs))
     logger.info(
@@ -779,10 +792,6 @@ def run_sweep(
         done += 1
         registry.counter("sweep.simulated").inc()
         registry.histogram("sweep.cell_seconds").observe(elapsed)
-        _end_cell_span(
-            index, status="ok", attempts=attempt, elapsed_s=elapsed,
-            worker=worker,
-        )
         if cache is not None:
             cache.put(keys[index], result, manifest=manifest)
             if base_keys[index] != keys[index]:
@@ -791,6 +800,12 @@ def run_sweep(
                 # re-price this simulation instead of re-running it.
                 cache.put(base_keys[index], result, manifest=manifest)
         _journal_cell(index, "ok", attempts=attempt, elapsed=elapsed)
+        # The cell span closes after the cell's own writes, so they count
+        # in its time.
+        _end_cell_span(
+            index, status="ok", attempts=attempt, elapsed_s=elapsed,
+            worker=worker,
+        )
         logger.debug(
             "cell simulated",
             extra=fields(
@@ -831,12 +846,12 @@ def run_sweep(
         done += 1
         failed_cells += 1
         registry.counter("sweep.failures").inc()
-        _end_cell_span(
-            index, status="failed", kind=error.kind, attempts=error.attempts,
-        )
         _journal_cell(
             index, "failed",
             attempts=error.attempts, elapsed=elapsed, error=error,
+        )
+        _end_cell_span(
+            index, status="failed", kind=error.kind, attempts=error.attempts,
         )
         logger.error(
             "cell failed",
@@ -1004,16 +1019,27 @@ def run_sweep(
             )
 
     def _run_inline() -> None:
+        # One trace per distinct profile: the first pending cell that needs
+        # it generates it, later ones (and retries) share it, and it is
+        # dropped after its last pending cell.
+        profiles = {index: specs[index].profile() for index in pending}
+        users = Counter(profiles.values())
+        traces: Dict[object, object] = {}
         for index in pending:
+            profile = profiles[index]
             attempt = 1
             cell_span = _begin_cell_span(index)
             while True:
+                known = len(traces)
                 message = run_attempt(
                     specs[index], attempt, faults, telemetry, cell_span,
                     tid=index + 1,
                     probe=probe_factory(specs[index]) if probed else None,
                     allow_kill=False,
+                    traces=traces,
                 )
+                if len(traces) > known:
+                    registry.counter("sweep.trace_generations").inc()
                 if message[0] == "ok":
                     _complete(index, message[1:], attempt)
                     break
@@ -1023,6 +1049,9 @@ def run_sweep(
                     break
                 time.sleep(delay)
                 attempt += 1
+            users[profile] -= 1
+            if not users[profile]:
+                traces.pop(profile, None)
 
     def _run_executor() -> None:
         nonlocal executor
@@ -1059,6 +1088,11 @@ def run_sweep(
                         )
             _heartbeat()
 
+    def _generations() -> int:
+        return registry.counter_value("sweep.trace_generations") - (
+            generations_before
+        )
+
     def _finished_counts() -> Tuple[int, int]:
         finished = [o for o in outcomes if o is not None]
         ok = sum(1 for o in finished if o.ok)
@@ -1087,6 +1121,7 @@ def run_sweep(
             wall_time=wall.total_seconds - wall_before,
             jobs=jobs,
             registry=registry,
+            trace_generations=_generations(),
         )
         logger.warning(
             "sweep interrupted; completed cells are flushed",
@@ -1110,6 +1145,7 @@ def run_sweep(
         wall_time=wall_time,
         jobs=jobs,
         registry=registry,
+        trace_generations=_generations(),
     )
     if journal is not None:
         journal.record_end(

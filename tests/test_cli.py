@@ -306,6 +306,39 @@ class TestResilienceCLI:
         ) == 0
         assert "(1 simulated, 1 cached, 0 failed)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cached", [True, False], ids=["cache", "no-cache"])
+    def test_failure_hint_only_advises_resume_with_a_cache(
+        self, cached, tmp_path, capsys
+    ):
+        cache = ["--cache-dir", str(tmp_path / "cache")] if cached else []
+        plan = self.write_plan(
+            tmp_path,
+            dict(cell="dir0b:POPS:*", kind="raise", attempt=None),
+        )
+        assert main(
+            FAST + cache + self.GRID + ["--keep-going", "--fault-plan", plan]
+        ) == 3
+        err = capsys.readouterr().err
+        assert "1/2 cells failed" in err
+        if cached:
+            assert "rerun with --resume" in err
+            assert main(FAST + cache + self.GRID + ["--resume"]) == 0
+        else:
+            assert "--resume" not in err
+            assert "rerun with --cache-dir DIR" in err
+
+    def test_interrupt_without_a_cache_does_not_advise_resume(
+        self, tmp_path, capsys
+    ):
+        plan = self.write_plan(
+            tmp_path,
+            dict(cell="dir0b:POPS:*", kind="interrupt", attempt=None),
+        )
+        assert main(FAST + self.GRID + ["--fault-plan", plan]) == 130
+        err = capsys.readouterr().err
+        assert "interrupted" in err and "--resume" not in err
+        assert "nothing was cached" in err
+
     def test_resume_requires_cache_dir(self, capsys):
         assert main(FAST + self.GRID + ["--resume"]) == 2
         assert "--resume requires --cache-dir" in capsys.readouterr().err
@@ -409,7 +442,10 @@ class TestObservability:
         self, flags, capsys, monkeypatch
     ):
         """Every printed table's stage rows plus its non-negative other
-        row sum to the cell span the sweep recorded for that cell."""
+        row sum to the cell span the sweep recorded for that cell.  Both
+        cells simulate POPS: inline, the first generates the trace and the
+        second is served it (``trace.generate`` 0); each worker cell
+        generates its own."""
         import repro.cli as cli
         from repro.obs.telemetry import CELL_STAGES, stage_seconds
 
@@ -431,6 +467,7 @@ class TestObservability:
             if span.kind == "cell"
         }
         assert len(tables) == len(cells) == 2
+        generated: dict = {}
         for table in tables:
             lines = table.splitlines()
             protocol, _, trace = lines[0].split(": ")[1].split()[:3]
@@ -446,10 +483,17 @@ class TestObservability:
             cell = cells[(protocol, trace)]
             assert rows["total"] == pytest.approx(cell.duration_s, abs=1e-4)
             seconds = stage_seconds(recorder.spans, cell)
-            assert all(seconds[name] > 0.0 for name in CELL_STAGES)
+            assert seconds["core.simulate"] > 0.0 and seconds["report"] > 0.0
+            generated.setdefault(trace, []).append(seconds["trace.generate"])
             parts = sum(seconds[name] for name in (*CELL_STAGES, "other"))
             assert parts == pytest.approx(seconds["total"])
             assert seconds["total"] == cell.duration_s
+        for per_cell in generated.values():
+            if "--jobs" in flags:
+                assert all(value > 0.0 for value in per_cell)
+            else:
+                assert sum(value > 0.0 for value in per_cell) == 1
+                assert per_cell.count(0.0) == len(per_cell) - 1
 
     def test_profile_simulates_cells_the_cache_holds(self, tmp_path, capsys):
         """A cache hit has no stages, so profile never reads the cache."""

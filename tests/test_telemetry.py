@@ -79,10 +79,10 @@ class CacheTouchSpec(RunSpec):
 
     scratch_dir: str = ""
 
-    def run(self, probe=None):
+    def run(self, probe=None, traces=None):
         cache = ResultCache(self.scratch_dir)
         cache.get(self.cache_key())  # miss
-        result = super().run(probe=probe)
+        result = super().run(probe=probe, traces=traces)
         cache.put(self.cache_key(), result)
         cache.get(self.cache_key())  # hit
         return result
@@ -94,9 +94,9 @@ class SlowSpec(RunSpec):
 
     sleep_s: float = 0.3
 
-    def run(self, probe=None):
+    def run(self, probe=None, traces=None):
         time.sleep(self.sleep_s)
-        return super().run(probe=probe)
+        return super().run(probe=probe, traces=traces)
 
 
 class TestSpanRecorder:
@@ -373,6 +373,45 @@ class TestSweepTelemetry:
         ]
         assert {s.parent_id for s in by_kind["stage"]} == {attempt.span_id}
         assert {s.pid for s in recorder.spans} == {os.getpid()}
+
+    def test_cell_span_covers_its_cache_put_and_journal_append(
+        self, tmp_path, monkeypatch
+    ):
+        """A cell's result-cache put and journal append happen inside its
+        span, so they count in the cell's time (``profile``'s other row)."""
+        from repro.resilience import SweepJournal
+
+        writes = []
+
+        def timed(name, method):
+            def wrapper(*args, **kwargs):
+                start = time.time()
+                try:
+                    return method(*args, **kwargs)
+                finally:
+                    writes.append((name, start, time.time()))
+
+            return wrapper
+
+        monkeypatch.setattr(ResultCache, "put", timed("put", ResultCache.put))
+        monkeypatch.setattr(
+            SweepJournal, "record_cell",
+            timed("journal", SweepJournal.record_cell),
+        )
+        specs = _specs(("dir0b",))
+        recorder = SpanRecorder()
+        run_sweep(
+            specs,
+            cache=ResultCache(tmp_path / "cache"),
+            journal=SweepJournal.for_sweep(
+                tmp_path, [spec.cache_key() for spec in specs]
+            ),
+            telemetry=recorder,
+        )
+        (cell,) = [span for span in recorder.spans if span.kind == "cell"]
+        assert sorted(name for name, _, _ in writes) == ["journal", "put"]
+        for name, start, end in writes:
+            assert cell.start_s <= start and end <= cell.end_s, name
 
     def test_no_span_is_built_without_a_recorder(self, monkeypatch):
         import repro.obs.telemetry as telemetry
