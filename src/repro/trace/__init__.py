@@ -28,7 +28,6 @@ from .stream import (
     exclude_lock_spins,
     exclude_os,
     interleave,
-    map_to_sharing_units,
     materialize,
     take,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "exclude_lock_spins",
     "exclude_os",
     "interleave",
-    "map_to_sharing_units",
     "materialize",
     "take",
     "Region",

@@ -10,9 +10,15 @@ simulator:
 * a **text format** (one record per line, ``#`` comments), convenient for
   hand-written fixtures and inspection, and
 * a **binary format** (fixed 16-byte little-endian records behind a magic
-  header), compact enough for multi-million-reference traces.
+  header), compact enough for multi-million-reference traces.  It is the
+  package's one binary trace format; its fields are narrow: ``cpu`` must
+  fit in 8 bits (0..255), ``pid`` in 16 (0..65535) and ``address`` in 64.
+  :func:`write_binary` raises :class:`TraceFormatError` for a record that
+  does not fit.  The text format has no such limit.
 
-Both round-trip exactly through :class:`~repro.trace.record.TraceRecord`.
+Both round-trip exactly through :class:`~repro.trace.record.TraceRecord`;
+a :class:`~repro.trace.packed.PackedTrace` is written the same way and read
+back with ``PackedTrace.from_records(read_binary(path))``.
 """
 
 from __future__ import annotations
@@ -39,6 +45,9 @@ _RECORD_STRUCT = struct.Struct("<BBHIQ")  # access+flags, cpu, pid, pad, address
 _FLAG_LOCK_SPIN = 0x10
 _FLAG_OS = 0x20
 _ACCESS_MASK = 0x0F
+
+#: Field -> largest value a binary record holds (all are unsigned).
+_BINARY_LIMITS = (("cpu", 2**8 - 1), ("pid", 2**16 - 1), ("address", 2**64 - 1))
 
 PathLike = Union[str, Path]
 
@@ -107,8 +116,25 @@ def read_text(path: PathLike) -> Iterator[TraceRecord]:
             )
 
 
+def _unfit_field(path: PathLike, index: int, record: TraceRecord, error) -> str:
+    """Why record ``index`` does not fit a binary record, naming the field."""
+    for name, limit in _BINARY_LIMITS:
+        value = getattr(record, name)
+        if not isinstance(value, int) or not 0 <= value <= limit:
+            return (
+                f"{path}: record {index}: {name} {value!r} does not fit the "
+                f"binary format (0..{limit}); the text format has no limit"
+            )
+    return f"{path}: record {index}: {error}"
+
+
 def write_binary(path: PathLike, trace: Iterable[TraceRecord]) -> int:
-    """Write a trace in the compact binary format; returns the record count."""
+    """Write a trace in the compact binary format; returns the record count.
+
+    Raises :class:`TraceFormatError` for a record whose ``cpu``, ``pid`` or
+    ``address`` is outside the format's field widths (see the module
+    docstring); the records before it have been written.
+    """
     count = 0
     pack = _RECORD_STRUCT.pack
     with open(path, "wb") as handle:
@@ -119,7 +145,12 @@ def write_binary(path: PathLike, trace: Iterable[TraceRecord]) -> int:
                 tag |= _FLAG_LOCK_SPIN
             if record.is_os:
                 tag |= _FLAG_OS
-            handle.write(pack(tag, record.cpu, record.pid, 0, record.address))
+            try:
+                packed = pack(tag, record.cpu, record.pid, 0, record.address)
+            except struct.error as exc:
+                message = _unfit_field(path, count, record, exc)
+                raise TraceFormatError(message) from None
+            handle.write(packed)
             count += 1
     return count
 

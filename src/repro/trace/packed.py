@@ -9,22 +9,19 @@ them in batches, and iterating one yields
 :class:`~repro.trace.record.TraceRecord` objects on demand for everything
 that consumes records.
 
-The columns round-trip through a compressed NumPy ``.npz`` file
-(:meth:`PackedTrace.save` / :meth:`PackedTrace.load`); those two methods
-are the only part of the package that needs numpy.
+To keep a trace on disk, write it in one of the ATUM formats of
+:mod:`repro.trace.atum` and read it back with
+``PackedTrace.from_records(read_binary(path))``.
 """
 
 from __future__ import annotations
 
 from array import array
-from pathlib import Path
 from typing import Iterable, Iterator, Union
 
-from .record import AccessType, TraceRecord, check_block_size
+from .record import AccessType, TraceRecord
 
 __all__ = ["FLAG_OS", "FLAG_SPIN", "PackedTrace"]
-
-PathLike = Union[str, Path]
 
 #: Bits of the ``flags`` column.
 FLAG_SPIN = 0x1
@@ -111,7 +108,7 @@ class PackedTrace:
             return PackedTrace(*(column[index] for column in columns))
         return _record(*(column[index] for column in columns))
 
-    # -- statistics -------------------------------------------------------------
+    # -- footprint --------------------------------------------------------------
 
     @property
     def nbytes(self) -> int:
@@ -120,50 +117,3 @@ class PackedTrace:
             len(column) * column.itemsize
             for column in (self.cpu, self.pid, self.access, self.address, self.flags)
         )
-
-    def instruction_count(self) -> int:
-        return self.access.count(AccessType.INSTR)
-
-    def read_count(self) -> int:
-        return self.access.count(AccessType.READ)
-
-    def write_count(self) -> int:
-        return self.access.count(AccessType.WRITE)
-
-    def spin_count(self) -> int:
-        return sum(1 for flag in self.flags if flag & FLAG_SPIN)
-
-    def os_count(self) -> int:
-        return sum(1 for flag in self.flags if flag & FLAG_OS)
-
-    def distinct_data_blocks(self, block_size: int = 16) -> int:
-        check_block_size(block_size)
-        return len(
-            {
-                address // block_size
-                for access, address in zip(self.access, self.address)
-                if access != AccessType.INSTR
-            }
-        )
-
-    # -- persistence ------------------------------------------------------------
-
-    def save(self, path: PathLike) -> None:
-        """Write the columns to a compressed ``.npz`` file (needs numpy)."""
-        import numpy as np
-
-        np.savez_compressed(
-            path,
-            **{
-                name: np.frombuffer(getattr(self, name), dtype=typecode)
-                for name, typecode in _COLUMNS
-            },
-        )
-
-    @classmethod
-    def load(cls, path: PathLike) -> "PackedTrace":
-        """Read a trace written by :meth:`save` (needs numpy)."""
-        import numpy as np
-
-        with np.load(path) as data:
-            return cls(*(data[name].tolist() for name, _ in _COLUMNS))

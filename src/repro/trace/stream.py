@@ -6,10 +6,9 @@ the paper:
 
 * **Sharing classification** — the paper considers *process* sharing rather
   than *processor* sharing: a block counts as shared only if more than one
-  process touches it.  Concretely the simulator maintains one cache per
-  sharing unit; :func:`sharing_unit_mapper` rewrites each record's ``cpu``
-  field to its sharing-unit index so that downstream code can always key
-  caches by ``record.cpu``.
+  process touches it.  :class:`SharingModel` names the choice; the
+  simulator keeps one cache per sharing unit and assigns the dense cache
+  indices itself (:meth:`repro.core.pipeline.ReferencePipeline.resolve_unit`).
 * **Lock-test exclusion** — the Section 5.2 experiment re-runs the
   simulations "excluding all the tests on locks"; :func:`exclude_lock_spins`
   drops exactly those records.
@@ -21,21 +20,18 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Callable, Dict, Iterable, Iterator, List, Sequence
+from typing import Iterable, Iterator, List, Sequence
 
 from .record import TraceRecord
 
 __all__ = [
     "SharingModel",
     "Trace",
-    "sharing_unit_mapper",
-    "map_to_sharing_units",
     "exclude_lock_spins",
     "exclude_os",
     "take",
     "materialize",
     "interleave",
-    "count_sharing_units",
 ]
 
 
@@ -55,69 +51,6 @@ class SharingModel(enum.Enum):
 
 #: A trace is any iterable of records.
 Trace = Iterable[TraceRecord]
-
-
-def sharing_unit_mapper(
-    model: SharingModel,
-) -> Callable[[TraceRecord, Dict[int, int]], int]:
-    """Return a function assigning a dense sharing-unit index to a record.
-
-    The returned callable takes a record and a mutable ``{key: index}``
-    registry and returns the dense index for the record's sharing unit,
-    allocating a fresh index the first time a key is seen.
-    """
-
-    if model is SharingModel.PROCESS:
-        key_of = lambda record: record.pid  # noqa: E731 - tiny accessor
-    elif model is SharingModel.PROCESSOR:
-        key_of = lambda record: record.cpu  # noqa: E731 - tiny accessor
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown sharing model: {model!r}")
-
-    def mapper(record: TraceRecord, registry: Dict[int, int]) -> int:
-        key = key_of(record)
-        index = registry.get(key)
-        if index is None:
-            index = len(registry)
-            registry[key] = index
-        return index
-
-    return mapper
-
-
-def map_to_sharing_units(
-    trace: Trace, model: SharingModel = SharingModel.PROCESS
-) -> Iterator[TraceRecord]:
-    """Rewrite ``cpu`` on each record to a dense sharing-unit index.
-
-    After this transform, ``record.cpu`` identifies the cache the reference
-    belongs to under the chosen sharing model, which is what the simulator
-    keys on.
-    """
-    mapper = sharing_unit_mapper(model)
-    registry: Dict[int, int] = {}
-    for record in trace:
-        unit = mapper(record, registry)
-        if unit == record.cpu:
-            yield record
-        else:
-            yield TraceRecord(
-                cpu=unit,
-                pid=record.pid,
-                access=record.access,
-                address=record.address,
-                is_lock_spin=record.is_lock_spin,
-                is_os=record.is_os,
-            )
-
-
-def count_sharing_units(
-    trace: Trace, model: SharingModel = SharingModel.PROCESS
-) -> int:
-    """Number of distinct sharing units (processes or processors) in a trace."""
-    if model is SharingModel.PROCESS:
-        return len({record.pid for record in trace})
-    return len({record.cpu for record in trace})
 
 
 def exclude_lock_spins(trace: Trace) -> Iterator[TraceRecord]:

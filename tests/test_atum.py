@@ -10,6 +10,7 @@ from repro.trace.atum import (
     write_binary,
     write_text,
 )
+from repro.trace.packed import PackedTrace
 from repro.trace.record import AccessType, TraceRecord
 
 
@@ -104,3 +105,32 @@ class TestBinaryFormat:
         write_binary(path, _sample())
         iterator = read_binary(path)
         assert next(iterator) == _sample()[0]
+
+    @pytest.mark.parametrize(
+        "field, value, limit",
+        [
+            ("cpu", 256, 255),
+            ("cpu", -1, 255),
+            ("pid", 65536, 65535),
+            ("address", 2**64, 2**64 - 1),
+        ],
+    )
+    def test_out_of_range_field_names_field_value_and_record(
+        self, tmp_path, field, value, limit
+    ):
+        bad = TraceRecord(
+            **{**dict(cpu=0, pid=0, access=AccessType.READ, address=0), field: value}
+        )
+        expected = rf"record 4: {field} {value} does not fit .*0\.\.{limit}"
+        with pytest.raises(TraceFormatError, match=expected):
+            write_binary(tmp_path / "trace.bin", [*_sample(), bad])
+
+    def test_out_of_range_packed_cpu_is_a_format_error(self, tmp_path):
+        with pytest.raises(TraceFormatError, match="record 0: cpu 256"):
+            write_binary(tmp_path / "trace.bin", PackedTrace([256], [1], [1], [0], [0]))
+
+    def test_text_format_holds_what_binary_cannot(self, tmp_path):
+        wide = [TraceRecord(cpu=256, pid=65536, access=AccessType.WRITE, address=1)]
+        path = tmp_path / "trace.txt"
+        write_text(path, wide)
+        assert list(read_text(path)) == wide

@@ -106,32 +106,25 @@ def test_reference_pipeline_is_built_only_by_the_core():
     assert not strays, strays
 
 
-#: The only functions in ``src/repro`` that may import numpy: the ``.npz``
-#: round trip of a packed trace.
-NUMPY_IMPORTERS = {("trace/packed.py", "save"), ("trace/packed.py", "load")}
+def _numpy_imports(node: ast.AST) -> bool:
+    """True if ``node`` or any node inside it imports numpy."""
+    for child in ast.walk(node):
+        if isinstance(child, ast.Import):
+            names = [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom):
+            names = [child.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "numpy" for name in names):
+            return True
+    return False
 
 
-def _numpy_imports(node: ast.AST, module: str, function: str, found: set) -> None:
-    """Collect (module, innermost enclosing function) of each numpy import."""
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        function = node.name
-    if isinstance(node, ast.Import):
-        names = [alias.name for alias in node.names]
-    elif isinstance(node, ast.ImportFrom):
-        names = [node.module or ""]
-    else:
-        names = []
-    if any(name.split(".")[0] == "numpy" for name in names):
-        found.add((module, function))
-    for child in ast.iter_child_nodes(node):
-        _numpy_imports(child, module, function, found)
-
-
-def test_numpy_is_imported_only_for_npz_files():
-    found: set = set()
-    for module, tree in _trees().items():
-        _numpy_imports(tree, module, "<module>", found)
-    assert found == NUMPY_IMPORTERS, sorted(found ^ NUMPY_IMPORTERS)
+def test_no_module_imports_numpy():
+    importers = sorted(
+        module for module, tree in _trees().items() if _numpy_imports(tree)
+    )
+    assert not importers, importers
 
 
 def test_importing_repro_leaves_numpy_unloaded():

@@ -49,41 +49,17 @@ class TestRoundTrip:
         assert isinstance(tail, PackedTrace)
         assert list(tail) == _sample()[2:]
 
-    def test_save_and_load(self, tmp_path):
-        pytest.importorskip("numpy")
-        packed = PackedTrace.from_records(_sample())
-        path = tmp_path / "trace.npz"
-        packed.save(path)
-        assert list(PackedTrace.load(path)) == _sample()
-
     def test_mismatched_columns_rejected(self):
         with pytest.raises(ValueError, match="column lengths"):
             PackedTrace([0], [0, 1], [1], [0], [0])
 
 
-class TestVectorisedStats:
+class TestStandardTrace:
     @pytest.fixture(scope="class")
     def packed(self):
         return PackedTrace.from_records(
             take(standard_trace("POPS", scale=1 / 128), 15000)
         )
-
-    def test_counts_match_record_iteration(self, packed):
-        records = list(packed)
-        assert packed.instruction_count() == sum(
-            r.is_instruction for r in records
-        )
-        assert packed.read_count() == sum(r.is_read for r in records)
-        assert packed.write_count() == sum(r.is_write for r in records)
-        assert packed.spin_count() == sum(r.is_lock_spin for r in records)
-        assert packed.os_count() == sum(r.is_os for r in records)
-
-    def test_distinct_blocks(self, packed):
-        records = list(packed)
-        expected = len(
-            {r.address // 16 for r in records if not r.is_instruction}
-        )
-        assert packed.distinct_data_blocks() == expected
 
     def test_memory_footprint_is_compact(self, packed):
         # 16 bytes of columns per record vs hundreds for Python objects.
@@ -140,17 +116,6 @@ class TestEmptyTrace:
         packed = PackedTrace.from_records([])
         assert len(packed) == 0
         assert list(packed) == []
-        assert packed.instruction_count() == 0
-        assert packed.distinct_data_blocks() == 0
-
-    def test_empty_save_and_load(self, tmp_path):
-        pytest.importorskip("numpy")
-        path = tmp_path / "empty.npz"
-        PackedTrace.from_records([]).save(path)
-        loaded = PackedTrace.load(path)
-        assert len(loaded) == 0
-        assert loaded.cpu.typecode == "H" and loaded.cpu.itemsize == 2
-        assert loaded.address.typecode == "Q" and loaded.address.itemsize == 8
 
     def test_empty_slice_of_nonempty(self):
         packed = PackedTrace.from_records(_sample())

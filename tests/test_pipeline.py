@@ -8,10 +8,12 @@ refactor exists to provide.
 
 import pytest
 
+from conftest import record
 from repro.core.counters import SimulationCounters
 from repro.core.pipeline import ReferencePipeline, SetAssociativeLRU
 from repro.memory.cache import CacheGeometry
 from repro.protocols.registry import create_protocol
+from repro.trace.stream import SharingModel
 from repro.trace.synthetic import SyntheticWorkload, WorkloadProfile
 
 _PROFILE = WorkloadProfile(name="PIPE", length=300, seed=11, processes=4)
@@ -49,11 +51,58 @@ class TestStageSelection:
             _pipeline(block_size=0)
 
 
+def _units(model: SharingModel, trace) -> list:
+    """The cache index ``resolve_unit`` assigns each record, in order."""
+    pipeline = _pipeline(sharing_model=model)
+    return [pipeline.resolve_unit(r) for r in trace]
+
+
 class TestUnitResolution:
     def test_too_many_sharing_units_rejected(self):
         pipeline = ReferencePipeline(create_protocol("dir0b", 2))
         with pytest.raises(ValueError, match="more than 2 sharing units"):
             pipeline.run(_TRACE, "PIPE")
+
+    @pytest.mark.parametrize(
+        "model, units",
+        [(SharingModel.PROCESS, [0, 0, 1]), (SharingModel.PROCESSOR, [0, 1, 0])],
+    )
+    def test_process_model_keys_by_pid(self, model, units):
+        """Pid 7 on two cpus is one unit under process sharing, two under
+        processor sharing."""
+        trace = [
+            record(cpu=0, pid=7, address=0),
+            record(cpu=1, pid=7, address=16),
+            record(cpu=0, pid=9, address=32),
+        ]
+        assert _units(model, trace) == units
+
+    @pytest.mark.parametrize(
+        "model, units",
+        [(SharingModel.PROCESS, [0, 1, 0]), (SharingModel.PROCESSOR, [0, 0, 1])],
+    )
+    def test_processor_model_keys_by_cpu(self, model, units):
+        """Cpu 2 running two processes is one unit under processor sharing."""
+        trace = [
+            record(cpu=2, pid=7, address=0),
+            record(cpu=2, pid=9, address=16),
+            record(cpu=5, pid=7, address=32),
+        ]
+        assert _units(model, trace) == units
+
+    @pytest.mark.parametrize("model", list(SharingModel))
+    def test_indices_are_dense_and_first_come(self, model):
+        trace = [record(cpu=key, pid=key, address=0) for key in (42, 5, 42, 99)]
+        assert _units(model, trace) == [0, 1, 0, 2]
+
+    @pytest.mark.parametrize(
+        "model, units",
+        [(SharingModel.PROCESS, [0, 0, 0]), (SharingModel.PROCESSOR, [0, 1, 2])],
+    )
+    def test_migrated_process_keeps_its_unit(self, model, units):
+        """Process sharing follows pid 7 across cpus 0, 1 and 3 (§4.4)."""
+        trace = [record(cpu=cpu, pid=7, address=0) for cpu in (0, 1, 3)]
+        assert _units(model, trace) == units
 
 
 class TestOracleWrapping:

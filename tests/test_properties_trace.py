@@ -2,11 +2,12 @@
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.protocols.directory.coarse import DigitCode
 from repro.trace.atum import read_binary, read_text, write_binary, write_text
+from repro.trace.packed import PackedTrace
 from repro.trace.record import AccessType, TraceRecord
 from repro.trace.stream import exclude_lock_spins, interleave, materialize
 
@@ -24,11 +25,21 @@ traces = st.lists(records, max_size=60)
 
 class TestAtumRoundTrip:
     @given(trace=traces)
+    @example(trace=[])
     @settings(max_examples=40, deadline=None)
     def test_binary_round_trip(self, trace, tmp_path_factory):
         path = tmp_path_factory.mktemp("atum") / "trace.bin"
         write_binary(path, trace)
         assert list(read_binary(path)) == trace
+        # The same records as columns: the persisted form of a PackedTrace.
+        packed = PackedTrace.from_records(trace)
+        assert write_binary(path, packed) == len(trace)
+        loaded = PackedTrace.from_records(read_binary(path))
+        assert list(loaded) == trace
+        for name in PackedTrace.__slots__:
+            first, second = getattr(packed, name), getattr(loaded, name)
+            assert first.typecode == second.typecode
+            assert first == second, name
 
     @given(trace=traces)
     @settings(max_examples=40, deadline=None)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.trace.classify import classify_blocks
-from repro.trace.packed import PackedTrace
 from repro.trace.record import (
     DEFAULT_BLOCK_SIZE,
     AccessType,
@@ -18,13 +17,10 @@ _TWO_BLOCKS = [
     TraceRecord(cpu=1, pid=1, access=AccessType.WRITE, address=32),
 ]
 
-_PACKED = PackedTrace.from_records(_TWO_BLOCKS)
-
 #: Every trace-side way of mapping addresses to blocks of a given size.
 _BLOCK_MAPPERS = {
     "block_of": lambda size: block_of(16, size),
     "TraceRecord.block": lambda size: _TWO_BLOCKS[0].block(size),
-    "PackedTrace.distinct_data_blocks": lambda size: _PACKED.distinct_data_blocks(size),
     "collect_stats": lambda size: collect_stats(_TWO_BLOCKS, block_size=size),
     "classify_blocks": lambda size: classify_blocks(_TWO_BLOCKS, block_size=size),
 }

@@ -3,55 +3,13 @@
 import pytest
 
 from conftest import record
-from repro.trace.record import AccessType
 from repro.trace.stream import (
-    SharingModel,
-    count_sharing_units,
     exclude_lock_spins,
     exclude_os,
     interleave,
-    map_to_sharing_units,
     materialize,
     take,
 )
-
-
-class TestSharingUnitMapping:
-    def test_process_model_keys_by_pid(self):
-        trace = [
-            record(cpu=0, pid=7, address=0),
-            record(cpu=1, pid=7, address=16),  # migrated: same process
-            record(cpu=0, pid=9, address=32),
-        ]
-        mapped = materialize(map_to_sharing_units(trace, SharingModel.PROCESS))
-        assert [r.cpu for r in mapped] == [0, 0, 1]
-
-    def test_processor_model_keys_by_cpu(self):
-        trace = [
-            record(cpu=2, pid=7, address=0),
-            record(cpu=2, pid=9, address=16),
-            record(cpu=5, pid=7, address=32),
-        ]
-        mapped = materialize(map_to_sharing_units(trace, SharingModel.PROCESSOR))
-        assert [r.cpu for r in mapped] == [0, 0, 1]
-
-    def test_indices_are_dense_and_first_come(self):
-        trace = [record(cpu=0, pid=p, address=0) for p in (42, 5, 42, 99)]
-        mapped = materialize(map_to_sharing_units(trace))
-        assert [r.cpu for r in mapped] == [0, 1, 0, 2]
-
-    def test_non_cpu_fields_preserved(self):
-        trace = [record(cpu=3, pid=8, kind="w", address=48, spin=False, os=True)]
-        (mapped,) = materialize(map_to_sharing_units(trace))
-        assert mapped.pid == 8
-        assert mapped.access is AccessType.WRITE
-        assert mapped.address == 48
-        assert mapped.is_os
-
-    def test_count_sharing_units(self):
-        trace = [record(cpu=c % 2, pid=c % 3, address=0) for c in range(12)]
-        assert count_sharing_units(trace, SharingModel.PROCESS) == 3
-        assert count_sharing_units(trace, SharingModel.PROCESSOR) == 2
 
 
 class TestFilters:
