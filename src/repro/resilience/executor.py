@@ -192,6 +192,26 @@ class CellEvent:
     def ok(self) -> bool:
         return self.payload is not None
 
+    @classmethod
+    def from_message(
+        cls, index: int, spec, attempt: int, message: Tuple,
+        metrics: Optional[dict] = None, spans: Tuple = (),
+    ) -> "CellEvent":
+        """The event for a :func:`run_attempt` message, inline or piped."""
+        if message[0] == "ok":
+            _, result, elapsed, pid, manifest = message
+            return cls(
+                index=index, spec=spec, attempt=attempt,
+                payload=(result, elapsed, pid, manifest), worker=pid,
+                metrics=metrics, spans=spans,
+            )
+        _, exc_type, text, tb, pid, elapsed = message
+        return cls(
+            index=index, spec=spec, attempt=attempt, kind="exception",
+            exc_type=exc_type, message=text, traceback=tb, worker=pid,
+            elapsed=elapsed, metrics=metrics, spans=spans,
+        )
+
 
 @dataclass
 class _Task:
@@ -329,30 +349,10 @@ class CellExecutor:
 
     def _message_event(self, index: int, task: _Task, message) -> CellEvent:
         self._reap(task)
-        if message[0] == "ok":
-            _, result, elapsed, pid, manifest, metrics, spans = message
-            return CellEvent(
-                index=index,
-                spec=task.spec,
-                attempt=task.attempt,
-                payload=(result, elapsed, pid, manifest),
-                worker=pid,
-                metrics=metrics,
-                spans=tuple(spans),
-            )
-        _, exc_type, text, tb, pid, elapsed, metrics, spans = message
-        return CellEvent(
-            index=index,
-            spec=task.spec,
-            attempt=task.attempt,
-            kind="exception",
-            exc_type=exc_type,
-            message=text,
-            traceback=tb,
-            worker=pid,
-            elapsed=elapsed,
-            metrics=metrics,
-            spans=tuple(spans),
+        *attempt_message, metrics, spans = message
+        return CellEvent.from_message(
+            index, task.spec, task.attempt, tuple(attempt_message), metrics,
+            tuple(spans),
         )
 
     def _crash_event(self, index: int, task: _Task) -> CellEvent:

@@ -2,74 +2,20 @@
 
 One sweep executes a grid of :class:`~repro.runner.spec.RunSpec`s —
 consulting the optional :class:`~repro.runner.cache.ResultCache` first,
-fanning the misses over worker processes (``jobs > 1``) or running them
-inline (``jobs == 1``) — and returns a :class:`SweepReport` carrying every
-result plus the throughput and cache metrics.
+running the misses inline (``jobs == 1``) or one process per attempt
+through :class:`~repro.resilience.executor.CellExecutor` — and returns a
+:class:`SweepReport` carrying every result plus the throughput and cache
+metrics.
 
-Re-pricing (the paper's Section 4.1 method at sweep scale): cells whose
-specs differ only in the ``characterization`` pricing axis share a
-:meth:`~repro.runner.spec.RunSpec.base_cache_key` and therefore identical
-counters, so only one of them — the leader — simulates; the rest are served
-from its result, flagged :attr:`RunOutcome.repriced` and counted in the
-``sweep.repriced`` metric.  Sweeping k characterization files costs exactly
-one simulation per (protocol, trace, ...) configuration.  Results land in
-the cache under both the full key and the base key, so a *later* sweep with
-a brand-new characterization file re-prices from disk without simulating at
-all.  See ``docs/characterization.md``.
-
-Trace sharing (the paper's one trace under every scheme): inline, pending
-cells with the same :meth:`~repro.runner.spec.RunSpec.profile` share one
-generated trace, made by the first of them and dropped after the last, so
-a cold pass generates each distinct trace once (``sweep.trace_generations``).
-Worker cells generate their own.  See ``docs/runner.md``.
-
-Resilience (see ``docs/robustness.md``): cells execute one process per
-attempt through :class:`~repro.resilience.executor.CellExecutor`, so a
-cell that raises, hangs past ``cell_timeout`` (SIGKILLed by the parent) or
-loses its worker to a crash becomes a structured
-:class:`~repro.resilience.errors.RunError` rather than a hung or aborted
-sweep.  Failed attempts are retried with exponential backoff and
-deterministic jitter (:class:`~repro.resilience.retry.RetryPolicy`); a
-cell that exhausts its budget either aborts the sweep
-(``keep_going=False``, the historic fail-fast default, raising
-:class:`~repro.resilience.errors.CellFailure`) or lands in
-:attr:`SweepReport.failures` while the rest of the grid completes.  A
-:class:`~repro.resilience.journal.SweepJournal` records every outcome for
-crash-safe ``--resume``, SIGINT tears the pool down promptly and raises
-:class:`~repro.resilience.errors.SweepInterrupted` with the flushed
-partial results, and a seeded
-:class:`~repro.resilience.faults.FaultPlan` can inject failures at every
-seam for testing.
-
-Observability: every sweep tallies into a
-:class:`~repro.obs.metrics.MetricsRegistry` (wall time, cell timings,
-cache traffic, ``sweep.failures``/``sweep.retries``/``sweep.timeouts``;
-exposed as :attr:`SweepReport.registry` and via
-:meth:`SweepReport.metrics_dict` for ``--metrics-json``), every executed
-cell carries a :class:`~repro.obs.manifest.RunManifest` with its
-provenance (failed cells carry the failure record in the manifest's
-``error`` field), progress and heartbeat lines go through the structured
-``repro.runner.sweep`` logger, and a ``probe_factory`` can attach a
-per-reference :class:`~repro.obs.probe.ReferenceProbe` to each simulated
-cell (probed sweeps run inline, since event streams cannot cross process
-boundaries).
-
-Distributed telemetry (see ``docs/observability.md``): registry snapshots
-tallied *inside* worker subprocesses ride back on the executor's result
-events and are folded into the sweep registry with
-:meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot`, so
-:meth:`SweepReport.metrics_dict` reflects what workers actually did.  An
-optional :class:`~repro.obs.telemetry.SpanRecorder` (``telemetry=``)
-records the sweep's causal tree — ``sweep → cell → attempt → stage``
-spans plus ``cache_hit``/``reprice``/``retry``/``timeout``/``fault``
-markers — with worker-side spans joined across the process boundary via
-:data:`~repro.obs.telemetry.SpanContext`.  On the heartbeat cadence
-(``heartbeat_seconds``, env ``REPRO_HEARTBEAT_SECONDS``, ``0`` disables)
-the loop also atomically publishes a status snapshot next to the journal
-(or at ``status_path``) that the ``repro-coherence status`` verb renders
-from a different process.  All of it is observer-only: counters stay
-bit-identical with telemetry on, and with everything off the loop pays a
-handful of ``is None`` checks.
+Each cell moves through named states: a cache hit, a re-pricing of
+cached or freshly simulated counters (the paper's Section 4.1 method:
+cells differing only in ``characterization`` share one simulation), a
+simulation, or a failure after its retries.  One transition step records
+every move: the outcome, the per-sweep count and ``sweep.*`` counter, the
+cache write, the journal line, the span or marker, the log and
+``progress``.  See "Cell states" in ``docs/runner.md``; resilience is in
+``docs/robustness.md``, telemetry and status snapshots in
+``docs/observability.md``.
 
 Determinism contract: the outcome list is ordered exactly like the input
 spec list regardless of worker scheduling, and each worker reconstructs its
@@ -78,7 +24,6 @@ to ``jobs=1``.  Only the metrics (timings, worker attribution) vary from
 run to run, which is why :meth:`SweepReport.cell_table` excludes them and
 the CLI routes them to stderr.
 """
-
 from __future__ import annotations
 
 import math
@@ -98,7 +43,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.probe import ReferenceProbe
 from ..obs.telemetry import SpanRecorder, write_status
 from ..resilience.errors import CellFailure, RunError, SweepInterrupted
-from ..resilience.executor import CellExecutor, run_attempt
+from ..resilience.executor import CellEvent, CellExecutor, run_attempt
 from ..resilience.journal import JOURNAL_SUFFIX, SweepJournal
 from ..resilience.retry import RetryPolicy
 from .cache import ResultCache
@@ -511,540 +456,293 @@ def run_sweep(
       written.  Snapshot write failures are logged and disable further
       snapshots; they never fail the sweep.
     """
-    specs = list(specs)
-    if not specs:
-        raise ValueError("at least one RunSpec is required")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if cell_timeout is not None and not 0 < cell_timeout < math.inf:
-        raise ValueError(
-            f"cell_timeout must be positive and finite, got {cell_timeout}"
-        )
-    if max_failures is not None and max_failures < 0:
-        raise ValueError(f"max_failures must be >= 0, got {max_failures}")
-    if resume and journal is None:
-        raise ValueError("resume=True requires a journal")
-    policy = retry if isinstance(retry, RetryPolicy) else RetryPolicy(int(retry))
-    registry = registry if registry is not None else MetricsRegistry()
-    beat_every = _resolve_heartbeat(heartbeat_seconds)
-    probed = probe_factory is not None
-    if probed and jobs > 1:
-        logger.warning(
-            "probed sweeps run inline; ignoring --jobs",
-            extra=fields(jobs=jobs),
-        )
-    if probed and cell_timeout is not None:
-        logger.warning(
-            "probed sweeps run inline; cell timeouts are not enforced",
-            extra=fields(cell_timeout=cell_timeout),
-        )
-    needs_processes = not probed and (
-        cell_timeout is not None
-        or (faults is not None and faults.has_worker_kills)
-    )
-    use_executor = not probed and (jobs > 1 or needs_processes)
+    return _Sweep(
+        specs, jobs, cache, progress, probe_factory, registry, retry,
+        cell_timeout, keep_going, max_failures, faults, journal, resume,
+        telemetry, heartbeat_seconds, status_path,
+    ).run()
 
-    keys = [spec.cache_key() for spec in specs]
-    base_keys = [spec.base_cache_key() for spec in specs]
-    cell_ids = [spec.cell_id() for spec in specs]
-    register = getattr(cache, "register_cell", None)
-    if register is not None:
-        for key, cell in zip(keys, cell_ids):
-            register(key, cell)
 
-    journaled_ok: set = set()
-    if resume:
-        prior = journal.load()
-        journaled_ok = {
-            key for key, record in prior.items() if record.get("status") == "ok"
-        }
-        logger.info(
-            "resuming sweep from journal",
-            extra=fields(
-                journal=str(journal.path),
-                journaled_ok=len(journaled_ok & set(keys)),
-                journaled_failed=sum(
-                    1 for r in prior.values() if r.get("status") == "failed"
+#: A cell's states (``docs/runner.md``, "Cell states").  The cache scan
+#: moves each ``pending`` cell to ``hit`` (its own key), ``repriced`` (its
+#: base key), ``leader`` (it simulates) or ``follower`` (its leader's
+#: counters price it).  A leader ends ``simulated`` or ``failed``, a
+#: follower ``repriced`` or ``failed``.
+PENDING, LEADER, FOLLOWER = "pending", "leader", "follower"
+HIT, REPRICED, SIMULATED, FAILED = "hit", "repriced", "simulated", "failed"
+
+#: The registry counter behind each per-sweep count.
+_COUNTERS = {
+    "cache_hits": "sweep.cache_hits",
+    REPRICED: "sweep.repriced",
+    SIMULATED: "sweep.simulated",
+    FAILED: "sweep.failures",
+    "retries": "sweep.retries",
+    "timeouts": "sweep.timeouts",
+}
+
+
+class _Sweep:
+    """One :func:`run_sweep` call: its cells, their states and their records.
+
+    :meth:`_settle` is the one transition into a final state and the only
+    code that stores an outcome; inline attempts and executor events both
+    reach it through :meth:`_on_event`, and :meth:`_end` is the one exit.
+    """
+
+    def __init__(
+        self, specs, jobs, cache, progress, probe_factory, registry, retry,
+        cell_timeout, keep_going, max_failures, faults, journal, resume,
+        telemetry, heartbeat_seconds, status_path,
+    ) -> None:
+        specs = list(specs)
+        if not specs:
+            raise ValueError("at least one RunSpec is required")
+        if jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
+        if cell_timeout is not None and not 0 < cell_timeout < math.inf:
+            raise ValueError(
+                f"cell_timeout must be positive and finite, got {cell_timeout}"
+            )
+        if max_failures is not None and max_failures < 0:
+            raise ValueError(f"max_failures must be >= 0, got {max_failures}")
+        if resume and journal is None:
+            raise ValueError("resume=True requires a journal")
+        self.specs, self.jobs, self.cache = specs, jobs, cache
+        self.progress, self.probe_factory = progress, probe_factory
+        self.cell_timeout, self.faults, self.journal = cell_timeout, faults, journal
+        self.keep_going, self.max_failures = keep_going, max_failures
+        self.telemetry = telemetry
+        self.policy = policy = (
+            retry if isinstance(retry, RetryPolicy) else RetryPolicy(int(retry))
+        )
+        self.registry = registry = (
+            registry if registry is not None else MetricsRegistry()
+        )
+        self.beat_every = _resolve_heartbeat(heartbeat_seconds)
+        probed = probe_factory is not None
+        if probed and jobs > 1:
+            logger.warning(
+                "probed sweeps run inline; ignoring --jobs",
+                extra=fields(jobs=jobs),
+            )
+        if probed and cell_timeout is not None:
+            logger.warning(
+                "probed sweeps run inline; cell timeouts are not enforced",
+                extra=fields(cell_timeout=cell_timeout),
+            )
+        needs_processes = not probed and (
+            cell_timeout is not None
+            or (faults is not None and faults.has_worker_kills)
+        )
+        self.probed = probed
+        self.use_executor = not probed and (jobs > 1 or needs_processes)
+
+        self.keys = keys = [spec.cache_key() for spec in specs]
+        self.base_keys = [spec.base_cache_key() for spec in specs]
+        self.cell_ids = [spec.cell_id() for spec in specs]
+        register = getattr(cache, "register_cell", None)
+        if register is not None:
+            for key, cell in zip(keys, self.cell_ids):
+                register(key, cell)
+
+        self.journaled_ok: set = set()
+        if resume:
+            prior = journal.load()
+            self.journaled_ok = {
+                key for key, record in prior.items()
+                if record.get("status") == "ok"
+            }
+            logger.info(
+                "resuming sweep from journal",
+                extra=fields(
+                    journal=str(journal.path),
+                    journaled_ok=len(self.journaled_ok & set(keys)),
+                    journaled_failed=sum(
+                        1 for r in prior.values() if r.get("status") == "failed"
+                    ),
+                    cells=len(specs),
                 ),
-                cells=len(specs),
+            )
+        if journal is not None:
+            journal.record_start(len(specs), jobs)
+
+        self.sweep_id = SweepJournal.sweep_key(keys)
+        self.status_file: Optional[Path] = (
+            Path(status_path) if status_path is not None else None
+        )
+        if self.status_file is None and journal is not None:
+            stem = journal.path.name
+            if stem.endswith(JOURNAL_SUFFIX):
+                stem = stem[: -len(JOURNAL_SUFFIX)]
+            self.status_file = journal.path.with_name(f"{stem}{STATUS_SUFFIX}")
+        self.status_healthy = True
+
+        self.wall = registry.timer("sweep.wall_seconds")
+        self.wall_before = self.wall.total_seconds
+        self.generations_before = registry.counter_value(
+            "sweep.trace_generations"
+        )
+        registry.gauge("sweep.jobs").set(jobs)
+        registry.counter("sweep.cells").inc(len(specs))
+        logger.info(
+            "sweep started",
+            extra=fields(
+                cells=len(specs), jobs=jobs, cache=cache is not None,
+                probed=probed, retries=policy.retries,
+                cell_timeout=cell_timeout, keep_going=keep_going,
+                resume=resume, faults=faults is not None,
             ),
         )
-    if journal is not None:
-        journal.record_start(len(specs), jobs)
 
-    sweep_id = SweepJournal.sweep_key(keys)
-    status_file: Optional[Path] = (
-        Path(status_path) if status_path is not None else None
-    )
-    if status_file is None and journal is not None:
-        stem = journal.path.name
-        if stem.endswith(JOURNAL_SUFFIX):
-            stem = stem[: -len(JOURNAL_SUFFIX)]
-        status_file = journal.path.with_name(f"{stem}{STATUS_SUFFIX}")
-
-    wall = registry.timer("sweep.wall_seconds")
-    wall_before = wall.total_seconds
-    generations_before = registry.counter_value("sweep.trace_generations")
-    registry.gauge("sweep.jobs").set(jobs)
-    registry.counter("sweep.cells").inc(len(specs))
-    logger.info(
-        "sweep started",
-        extra=fields(
-            cells=len(specs), jobs=jobs, cache=cache is not None,
-            probed=probed, retries=policy.retries,
-            cell_timeout=cell_timeout, keep_going=keep_going,
-            resume=resume, faults=faults is not None,
-        ),
-    )
-
-    outcomes: List[Optional[RunOutcome]] = [None] * len(specs)
-    pending: List[int] = []
-    #: leader index -> pending cells sharing its base_cache_key, which will
-    #: be served by re-pricing the leader's counters (Section 4.1: event
-    #: frequencies are independent of hardware costs)
-    followers: Dict[int, List[int]] = {}
-    done = 0
-    failed_cells = 0
-    sweep_started = time.perf_counter()
-    last_beat = sweep_started
-    executor: Optional[CellExecutor] = None
-    status_healthy = True
-    cell_spans: Dict[int, object] = {}
-    sweep_span = (
-        telemetry.begin(
-            f"sweep {sweep_id[:12]}", kind="sweep",
-            sweep_id=sweep_id, cells=len(specs), jobs=jobs,
-        )
-        if telemetry is not None
-        else None
-    )
-
-    def _publish_status(state: str) -> None:
-        """Atomically refresh the status snapshot; degrade on any OSError."""
-        nonlocal status_healthy
-        if status_file is None or not status_healthy:
-            return
-        finished = [o for o in outcomes if o is not None]
-        ok = sum(1 for o in finished if o.ok)
-        simulated_refs = sum(
-            o.result.references
-            for o in finished
-            if o.ok and not o.cached and not o.repriced
-        )
-        running = executor.in_flight if executor is not None else 0
-        elapsed = time.perf_counter() - sweep_started
-        cell_hist = registry.histogram("sweep.cell_seconds")
-        remaining = max(0, len(specs) - done)
-        eta = (
-            remaining * cell_hist.mean / max(1, jobs)
-            if state == "running" and cell_hist.count and remaining
+        self.states: List[str] = [PENDING] * len(specs)
+        self.outcomes: List[Optional[RunOutcome]] = [None] * len(specs)
+        #: leader index -> the followers its counters price (Section 4.1:
+        #: event frequencies are independent of hardware costs)
+        self.followers: Dict[int, List[int]] = {}
+        #: this sweep's count behind each registry counter of _COUNTERS
+        self.counts = dict.fromkeys(_COUNTERS, 0)
+        self.done = 0
+        self.references = self.simulated_refs = 0
+        self.simulated_seconds = 0.0
+        self.started = self.last_beat = time.perf_counter()
+        self.executor: Optional[CellExecutor] = None
+        self.cell_spans: Dict[int, object] = {}
+        self.sweep_span = (
+            telemetry.begin(
+                f"sweep {self.sweep_id[:12]}", kind="sweep",
+                sweep_id=self.sweep_id, cells=len(specs), jobs=jobs,
+            )
+            if telemetry is not None
             else None
         )
+
+    # -- the sweep ---------------------------------------------------------
+
+    def run(self) -> SweepReport:
         try:
-            write_status(
-                status_file,
-                {
-                    "state": state,
-                    "ts": time.time(),
-                    "pid": os.getpid(),
-                    "sweep_id": sweep_id,
-                    "cells": len(specs),
-                    "done": done,
-                    "ok": ok,
-                    "failed": len(finished) - ok,
-                    "running": running,
-                    "pending": max(0, len(specs) - done - running),
-                    "simulated": registry.counter("sweep.simulated").value,
-                    "cache_hits": registry.counter("sweep.cache_hits").value,
-                    "repriced": registry.counter("sweep.repriced").value,
-                    "retries": registry.counter("sweep.retries").value,
-                    "timeouts": registry.counter("sweep.timeouts").value,
-                    "references": sum(
-                        o.result.references for o in finished if o.ok
-                    ),
-                    "refs_per_sec": (
-                        simulated_refs / elapsed if elapsed > 0 else 0.0
-                    ),
-                    "eta_s": eta,
-                    "wall_s": elapsed,
-                    "jobs": jobs,
-                    "journal": str(journal.path) if journal is not None else None,
-                },
-            )
-        except OSError as exc:
-            status_healthy = False
+            self._publish_status("running")
+            with self.wall.time():
+                leaders = self._group(self._scan_cache())
+                if leaders and self.use_executor:
+                    self._run_executor(leaders)
+                elif leaders:
+                    self._run_inline(leaders)
+        except KeyboardInterrupt:
+            partial = self._end("interrupted")
             logger.warning(
-                "status snapshot write failed; disabling snapshots",
-                extra=fields(path=str(status_file), error=str(exc)),
+                "sweep interrupted; completed cells are flushed",
+                extra=fields(completed=self.done, total=len(self.specs)),
             )
-
-    def _begin_cell_span(index: int):
-        """The cell's open span, created on first use (telemetry only)."""
-        span = cell_spans.get(index)
-        if span is None and telemetry is not None:
-            span = telemetry.begin(
-                cell_ids[index], kind="cell", parent=sweep_span, tid=index + 1,
-            )
-            cell_spans[index] = span
-        return span
-
-    def _end_cell_span(index: int, **attributes: object) -> None:
-        span = cell_spans.pop(index, None)
-        if span is not None:
-            span.end(**attributes)
-
-    def _span_context(index: int):
-        """What a worker needs to hang its spans under this cell's span."""
-        if telemetry is None:
-            return None
-        return (telemetry.trace_id, _begin_cell_span(index).span_id)
-
-    def _close_telemetry(state: str) -> None:
-        """End every open span (interrupt/failure leaves cells open)."""
-        if telemetry is None:
-            return
-        for index in list(cell_spans):
-            _end_cell_span(index, status=state)
-        if sweep_span is not None:
-            sweep_span.end(status=state)
-
-    def _heartbeat() -> None:
-        nonlocal last_beat
-        if beat_every <= 0:
-            return
-        now = time.perf_counter()
-        if now - last_beat >= beat_every:
-            last_beat = now
-            finished = [o for o in outcomes if o is not None]
-            logger.info(
-                "sweep progress",
-                extra=fields(
-                    done=done,
-                    total=len(specs),
-                    simulated=registry.counter("sweep.simulated").value,
-                    failed=sum(1 for o in finished if not o.ok),
-                    references=sum(
-                        o.result.references for o in finished if o.ok
-                    ),
-                ),
-            )
-            _publish_status("running")
-
-    def _journal_cell(
-        index: int,
-        status: str,
-        cached: bool = False,
-        attempts: int = 1,
-        elapsed: float = 0.0,
-        error: Optional[RunError] = None,
-    ) -> None:
-        if journal is not None:
-            journal.record_cell(
-                keys[index], cell_ids[index], status,
-                cached=cached, attempts=attempts, elapsed=elapsed, error=error,
-            )
-
-    def _reprice(index: int, result: SimulationResult, worker: int) -> None:
-        """Serve a pending cell from a sibling's freshly simulated counters."""
-        nonlocal done
-        manifest = collect_manifest(
-            specs[index].as_dict(), keys[index], 0.0, worker_pid=worker
-        )
-        outcome = RunOutcome(
-            spec=specs[index],
-            result=result,
-            cached=False,
-            elapsed=0.0,
-            worker=worker,
-            manifest=manifest,
-            repriced=True,
-        )
-        outcomes[index] = outcome
-        done += 1
-        registry.counter("sweep.repriced").inc()
-        if telemetry is not None:
-            telemetry.event(
-                cell_ids[index], kind="reprice", parent=sweep_span,
-                tid=index + 1, worker=worker,
-            )
-        if cache is not None:
-            cache.put(keys[index], result, manifest=manifest)
-        _journal_cell(index, "ok")
-        if progress is not None:
-            progress(outcome)
-
-    def _complete(
-        index: int,
-        payload: Tuple[SimulationResult, float, int, RunManifest],
-        attempt: int = 1,
-    ) -> None:
-        nonlocal done
-        result, elapsed, worker, manifest = payload
-        outcome = RunOutcome(
-            spec=specs[index],
-            result=result,
-            cached=False,
-            elapsed=elapsed,
-            worker=worker,
-            manifest=manifest,
-        )
-        outcomes[index] = outcome
-        done += 1
-        registry.counter("sweep.simulated").inc()
-        registry.histogram("sweep.cell_seconds").observe(elapsed)
-        if cache is not None:
-            cache.put(keys[index], result, manifest=manifest)
-            if base_keys[index] != keys[index]:
-                # Also store under the characterization-free identity, so a
-                # future sweep with a brand-new characterization file can
-                # re-price this simulation instead of re-running it.
-                cache.put(base_keys[index], result, manifest=manifest)
-        _journal_cell(index, "ok", attempts=attempt, elapsed=elapsed)
-        # The cell span closes after the cell's own writes, so they count
-        # in its time.
-        _end_cell_span(
-            index, status="ok", attempts=attempt, elapsed_s=elapsed,
-            worker=worker,
-        )
-        logger.debug(
-            "cell simulated",
+            raise SweepInterrupted(partial, len(self.specs)) from None
+        except CellFailure:
+            self._end("failed")
+            raise
+        report = self._end("finished")
+        logger.info(
+            "sweep finished",
             extra=fields(
-                protocol=specs[index].protocol,
-                trace=specs[index].trace,
-                elapsed_s=round(elapsed, 4),
-                worker=worker,
-                attempt=attempt,
+                cells=report.cells,
+                simulated=report.simulations,
+                cache_hits=report.cache_hits,
+                failures=len(report.failures),
+                wall_s=round(report.wall_time, 3),
+                refs_per_sec=round(report.refs_per_sec),
             ),
         )
-        if progress is not None:
-            progress(outcome)
-        for follower in followers.get(index, ()):
-            _reprice(follower, result, worker)
-        _heartbeat()
-        if faults is not None and faults.should_interrupt(
-            cell_ids[index], attempt
-        ):
-            raise KeyboardInterrupt  # injected SIGINT (fault harness)
+        return report
 
-    def _fail_one(index: int, error: RunError, elapsed: float) -> None:
-        nonlocal done, failed_cells
-        spec = specs[index]
-        manifest = collect_manifest(
-            spec.as_dict(), keys[index], elapsed,
-            worker_pid=error.worker, error=error.to_dict(),
-        )
-        outcome = RunOutcome(
-            spec=spec,
-            result=None,
-            cached=False,
-            elapsed=elapsed,
-            worker=error.worker,
-            manifest=manifest,
-            error=error,
-        )
-        outcomes[index] = outcome
-        done += 1
-        failed_cells += 1
-        registry.counter("sweep.failures").inc()
-        _journal_cell(
-            index, "failed",
-            attempts=error.attempts, elapsed=elapsed, error=error,
-        )
-        _end_cell_span(
-            index, status="failed", kind=error.kind, attempts=error.attempts,
-        )
-        logger.error(
-            "cell failed",
-            extra=fields(
-                cell=cell_ids[index], kind=error.kind,
-                error=f"{error.exc_type}: {error.message}",
-                attempts=error.attempts, worker=error.worker,
-            ),
-        )
-        if progress is not None:
-            progress(outcome)
-
-    def _fail(index: int, error: RunError) -> None:
-        _fail_one(index, error, error.elapsed)
-        # Cells waiting to be re-priced from this simulation fail with it.
-        for follower in followers.get(index, ()):
-            _fail_one(follower, error, 0.0)
-        _heartbeat()
-        if not keep_going:
-            raise CellFailure(cell_ids[index], error)
-        if max_failures is not None and failed_cells > max_failures:
-            raise CellFailure(
-                cell_ids[index], error,
-                reason=f"more than max_failures={max_failures} cells failed",
-            )
-
-    def _retry_or_fail(
-        index: int,
-        attempt: int,
-        kind: str,
-        exc_type: str,
-        message: str,
-        trace_back: Optional[str],
-        worker: int,
-        elapsed: float,
-    ) -> Optional[float]:
-        """Backoff seconds when a retry is granted; None after recording failure."""
-        if kind == "timeout":
-            registry.counter("sweep.timeouts").inc()
-        if telemetry is not None:
-            marker_parent = cell_spans.get(index) or sweep_span
-            if kind == "timeout":
-                telemetry.event(
-                    cell_ids[index], kind="timeout", parent=marker_parent,
-                    tid=index + 1, attempt=attempt, elapsed_s=elapsed,
-                )
-            if exc_type == "InjectedFault":
-                telemetry.event(
-                    cell_ids[index], kind="fault", parent=marker_parent,
-                    tid=index + 1, attempt=attempt,
-                )
-        if attempt < policy.max_attempts:
-            registry.counter("sweep.retries").inc()
-            delay = policy.delay(keys[index], attempt)
-            if telemetry is not None:
-                telemetry.event(
-                    cell_ids[index], kind="retry",
-                    parent=cell_spans.get(index) or sweep_span,
-                    tid=index + 1, attempt=attempt, backoff_s=delay,
-                    failure=kind,
-                )
-            logger.warning(
-                "cell attempt failed; retrying",
-                extra=fields(
-                    cell=cell_ids[index], kind=kind, attempt=attempt,
-                    max_attempts=policy.max_attempts,
-                    backoff_s=round(delay, 3),
-                    error=f"{exc_type}: {message}",
-                ),
-            )
-            return delay
-        _fail(
-            index,
-            RunError(
-                kind=kind, exc_type=exc_type, message=message,
-                attempts=attempt, worker=worker, elapsed=elapsed,
-                traceback=trace_back,
-            ),
-        )
-        return None
-
-    def _scan_cache() -> None:
-        nonlocal done
-        for index, spec in enumerate(specs):
-            cached_result = cache.get(keys[index]) if cache is not None else None
-            via_base = False
-            if (
-                cached_result is None
-                and cache is not None
-                and base_keys[index] != keys[index]
-            ):
+    def _scan_cache(self) -> List[int]:
+        """Settle every cell the cache holds; return the rest, in spec order."""
+        cache, keys, base_keys = self.cache, self.keys, self.base_keys
+        pid = os.getpid()
+        pending: List[int] = []
+        for index, spec in enumerate(self.specs):
+            result = cache.get(keys[index]) if cache is not None else None
+            if result is not None:
+                self._settle(index, HIT, RunOutcome(
+                    spec=spec, result=result, cached=True, elapsed=0.0,
+                    worker=pid, manifest=cache.get_manifest(keys[index]),
+                ))
+                continue
+            if cache is not None and base_keys[index] != keys[index]:
                 # Re-pricing across sweeps: the exact pricing is cold, but
                 # the characterization-free simulation is warm — serve it
                 # (the counters are identical by construction) and write it
                 # back under the full key so next time is a direct hit.
-                cached_result = cache.get(base_keys[index])
-                via_base = cached_result is not None
-            if cached_result is not None:
-                if via_base:
-                    manifest = collect_manifest(
-                        spec.as_dict(), keys[index], 0.0
+                result = cache.get(base_keys[index])
+                if result is not None:
+                    self._settle(
+                        index, REPRICED,
+                        self._repriced(index, result, pid, cached=True),
                     )
-                    cache.put(keys[index], cached_result, manifest=manifest)
-                    registry.counter("sweep.repriced").inc()
-                else:
-                    manifest = cache.get_manifest(keys[index])
-                outcome = RunOutcome(
-                    spec=spec,
-                    result=cached_result,
-                    cached=True,
-                    elapsed=0.0,
-                    worker=os.getpid(),
-                    manifest=manifest,
-                    repriced=via_base,
+                    continue
+            if keys[index] in self.journaled_ok:
+                logger.warning(
+                    "journaled success missing from cache; re-simulating",
+                    extra=fields(cell=self.cell_ids[index]),
                 )
-                outcomes[index] = outcome
-                done += 1
-                registry.counter("sweep.cache_hits").inc()
-                if telemetry is not None:
-                    telemetry.event(
-                        cell_ids[index], kind="cache_hit", parent=sweep_span,
-                        tid=index + 1, via_base=via_base,
-                    )
-                _journal_cell(index, "ok", cached=True)
-                if progress is not None:
-                    progress(outcome)
-                _heartbeat()
-            else:
-                if resume and keys[index] in journaled_ok:
-                    logger.warning(
-                        "journaled success missing from cache; re-simulating",
-                        extra=fields(cell=cell_ids[index]),
-                    )
-                pending.append(index)
+            pending.append(index)
+        return pending
 
-    def _group_repricing() -> None:
-        """Collapse pending cells sharing a simulation onto one leader.
+    def _group(self, pending: List[int]) -> List[int]:
+        """Make each pending cell a leader or a follower; return the leaders.
 
         Cells whose specs differ only in ``characterization`` share a
         :meth:`~repro.runner.spec.RunSpec.base_cache_key` and, by the
         paper's Section 4.1 argument, identical counters — so only the
         first (the leader) simulates and the rest are re-priced from its
-        result.  Probed sweeps skip this: a probe streams the cell's own
-        per-reference events, so every cell must actually run.
+        result.  In a probed sweep every pending cell leads: a probe
+        streams the cell's own per-reference events, so every cell must
+        actually run.
         """
-        if probed:
-            return
-        leaders: Dict[str, int] = {}
-        kept: List[int] = []
+        first: Dict[object, int] = {}
         for index in pending:
-            leader = leaders.get(base_keys[index])
-            if leader is None:
-                leaders[base_keys[index]] = index
-                kept.append(index)
+            leader = first.setdefault(
+                index if self.probed else self.base_keys[index], index
+            )
+            if leader == index:
+                self.states[index] = LEADER
             else:
-                followers.setdefault(leader, []).append(index)
-        if followers:
-            pending[:] = kept
+                self.states[index] = FOLLOWER
+                self.followers.setdefault(leader, []).append(index)
+        leaders = [index for index in pending if self.states[index] == LEADER]
+        if self.followers:
             logger.info(
                 "re-pricing collapsed sweep cells",
                 extra=fields(
-                    simulate=len(kept),
-                    repriced=sum(len(cells) for cells in followers.values()),
+                    simulate=len(leaders),
+                    repriced=len(pending) - len(leaders),
                 ),
             )
+        return leaders
 
-    def _run_inline() -> None:
-        # One trace per distinct profile: the first pending cell that needs
-        # it generates it, later ones (and retries) share it, and it is
-        # dropped after its last pending cell.
-        profiles = {index: specs[index].profile() for index in pending}
+    def _run_inline(self, leaders: List[int]) -> None:
+        # One trace per distinct profile: the first leader that needs it
+        # generates it, later ones (and retries) share it, and it is
+        # dropped after its last leader.
+        specs = self.specs
+        profiles = {index: specs[index].profile() for index in leaders}
         users = Counter(profiles.values())
         traces: Dict[object, object] = {}
-        for index in pending:
-            profile = profiles[index]
+        for index in leaders:
+            spec, profile = specs[index], profiles[index]
             attempt = 1
-            cell_span = _begin_cell_span(index)
+            cell_span = self._cell_span(index)
             while True:
                 known = len(traces)
                 message = run_attempt(
-                    specs[index], attempt, faults, telemetry, cell_span,
+                    spec, attempt, self.faults, self.telemetry, cell_span,
                     tid=index + 1,
-                    probe=probe_factory(specs[index]) if probed else None,
+                    probe=self.probe_factory(spec) if self.probed else None,
                     allow_kill=False,
                     traces=traces,
                 )
                 if len(traces) > known:
-                    registry.counter("sweep.trace_generations").inc()
-                if message[0] == "ok":
-                    _complete(index, message[1:], attempt)
-                    break
-                # (exc_type, message, traceback, pid, elapsed)
-                delay = _retry_or_fail(index, attempt, "exception", *message[1:])
+                    self.registry.counter("sweep.trace_generations").inc()
+                delay = self._on_event(
+                    CellEvent.from_message(index, spec, attempt, message)
+                )
                 if delay is None:
                     break
                 time.sleep(delay)
@@ -1053,115 +751,359 @@ def run_sweep(
             if not users[profile]:
                 traces.pop(profile, None)
 
-    def _run_executor() -> None:
-        nonlocal executor
-        pool_size = max(1, min(jobs, len(pending)))
-        executor = CellExecutor(
-            jobs=pool_size, timeout=cell_timeout, faults=faults
+    def _run_executor(self, leaders: List[int]) -> None:
+        executor = self.executor = CellExecutor(
+            jobs=max(1, min(self.jobs, len(leaders))),
+            timeout=self.cell_timeout, faults=self.faults,
         )
-        for index in pending:
+        for index in leaders:
             executor.submit(
-                index, specs[index], attempt=1,
-                span_context=_span_context(index),
+                index, self.specs[index], attempt=1,
+                span_context=self._span_context(index),
             )
         while executor.active:
             for event in executor.poll():
-                # Worker-side telemetry rides on every event, success or
-                # failure — a retried attempt's metrics/spans still count.
-                if event.metrics:
-                    registry.merge_snapshot(event.metrics)
-                if telemetry is not None and event.spans:
-                    telemetry.ingest(event.spans)
-                if event.ok:
-                    _complete(event.index, event.payload, event.attempt)
-                else:
-                    delay = _retry_or_fail(
-                        event.index, event.attempt, event.kind,
-                        event.exc_type, event.message, event.traceback,
-                        event.worker, event.elapsed,
+                delay = self._on_event(event)
+                if delay is not None:
+                    executor.submit(
+                        event.index, self.specs[event.index],
+                        event.attempt + 1, delay,
+                        span_context=self._span_context(event.index),
                     )
-                    if delay is not None:
-                        executor.submit(
-                            event.index, specs[event.index],
-                            event.attempt + 1, delay,
-                            span_context=_span_context(event.index),
-                        )
-            _heartbeat()
+            self._heartbeat()
 
-    def _generations() -> int:
-        return registry.counter_value("sweep.trace_generations") - (
-            generations_before
+    # -- one result handler, one transition, one end -----------------------
+
+    def _on_event(self, event: CellEvent) -> Optional[float]:
+        """Take one finished attempt, inline or from a worker.
+
+        Folds the worker's telemetry in (every event carries it, success
+        or failure), then settles the cell or grants a retry.  Returns the
+        backoff before the next attempt, or None once the cell settled.
+        """
+        if event.metrics:
+            self.registry.merge_snapshot(event.metrics)
+        if self.telemetry is not None and event.spans:
+            self.telemetry.ingest(event.spans)
+        index, attempt, kind = event.index, event.attempt, event.kind
+        cell = self.cell_ids[index]
+        if event.ok:
+            result, elapsed, worker, manifest = event.payload
+            self._settle(index, SIMULATED, RunOutcome(
+                spec=self.specs[index], result=result, cached=False,
+                elapsed=elapsed, worker=worker, manifest=manifest,
+            ), attempt)
+            if self.faults is not None and self.faults.should_interrupt(
+                cell, attempt
+            ):
+                raise KeyboardInterrupt  # injected SIGINT (fault harness)
+            return None
+        if kind == "timeout":
+            self._count("timeouts")
+        telemetry = self.telemetry
+        if telemetry is not None:
+            marker_parent = self.cell_spans.get(index) or self.sweep_span
+            if kind == "timeout":
+                telemetry.event(
+                    cell, kind="timeout", parent=marker_parent,
+                    tid=index + 1, attempt=attempt, elapsed_s=event.elapsed,
+                )
+            if event.exc_type == "InjectedFault":
+                telemetry.event(
+                    cell, kind="fault", parent=marker_parent,
+                    tid=index + 1, attempt=attempt,
+                )
+        if attempt < self.policy.max_attempts:
+            self._count("retries")
+            delay = self.policy.delay(self.keys[index], attempt)
+            if telemetry is not None:
+                telemetry.event(
+                    cell, kind="retry",
+                    parent=self.cell_spans.get(index) or self.sweep_span,
+                    tid=index + 1, attempt=attempt, backoff_s=delay,
+                    failure=kind,
+                )
+            logger.warning(
+                "cell attempt failed; retrying",
+                extra=fields(
+                    cell=cell, kind=kind, attempt=attempt,
+                    max_attempts=self.policy.max_attempts,
+                    backoff_s=round(delay, 3),
+                    error=f"{event.exc_type}: {event.message}",
+                ),
+            )
+            return delay
+        error = RunError(
+            kind=kind, exc_type=event.exc_type, message=event.message,
+            attempts=attempt, worker=event.worker, elapsed=event.elapsed,
+            traceback=event.traceback,
+        )
+        self._settle(
+            index, FAILED, self._failed(index, error, error.elapsed), attempt
+        )
+        if not self.keep_going:
+            raise CellFailure(cell, error)
+        if self.max_failures is not None and (
+            self.counts[FAILED] > self.max_failures
+        ):
+            raise CellFailure(
+                cell, error,
+                reason=f"more than max_failures={self.max_failures} cells failed",
+            )
+        return None
+
+    def _settle(
+        self, index: int, state: str, outcome: RunOutcome, attempts: int = 1
+    ) -> None:
+        """Move cell ``index`` into the final ``state``: the one transition.
+
+        The only code that stores an outcome.  It records the move, in
+        order: the per-sweep count and its ``sweep.*`` counter, the cache
+        write, the journal line, the marker or the end of the cell span,
+        the log, ``progress``.  A leader's followers settle with it; then
+        the heartbeat runs.
+        """
+        origin = self.states[index]
+        if origin not in (PENDING, LEADER, FOLLOWER):
+            raise RuntimeError(f"cell {self.cell_ids[index]} settled twice")
+        self.states[index] = state
+        self.outcomes[index] = outcome
+        self.done += 1
+        if outcome.cached:
+            self._count("cache_hits")
+        if state != HIT:
+            self._count(state)
+        result, error, elapsed = outcome.result, outcome.error, outcome.elapsed
+        cache, key = self.cache, self.keys[index]
+        if result is not None:
+            self.references += result.references
+            if cache is not None and state != HIT:
+                cache.put(key, result, manifest=outcome.manifest)
+        if state == SIMULATED:
+            self.simulated_refs += result.references
+            self.simulated_seconds += elapsed
+            self.registry.histogram("sweep.cell_seconds").observe(elapsed)
+            if cache is not None and self.base_keys[index] != key:
+                # Also store under the characterization-free identity, so a
+                # future sweep with a brand-new characterization file can
+                # re-price this simulation instead of re-running it.
+                cache.put(self.base_keys[index], result, manifest=outcome.manifest)
+        cell = self.cell_ids[index]
+        if self.journal is not None:
+            self.journal.record_cell(
+                key, cell, "ok" if error is None else "failed",
+                cached=outcome.cached, attempts=attempts, elapsed=elapsed,
+                error=error,
+            )
+        # The cell span closes after the cell's own writes, so they count
+        # in its time.
+        if state == SIMULATED:
+            self._end_cell_span(
+                index, status="ok", attempts=attempts, elapsed_s=elapsed,
+                worker=outcome.worker,
+            )
+            logger.debug(
+                "cell simulated",
+                extra=fields(
+                    protocol=outcome.spec.protocol,
+                    trace=outcome.spec.trace,
+                    elapsed_s=round(elapsed, 4),
+                    worker=outcome.worker,
+                    attempt=attempts,
+                ),
+            )
+        elif state == FAILED:
+            self._end_cell_span(
+                index, status="failed", kind=error.kind, attempts=attempts,
+            )
+            logger.error(
+                "cell failed",
+                extra=fields(
+                    cell=cell, kind=error.kind,
+                    error=f"{error.exc_type}: {error.message}",
+                    attempts=attempts, worker=error.worker,
+                ),
+            )
+        elif self.telemetry is not None and outcome.cached:
+            self.telemetry.event(
+                cell, kind="cache_hit", parent=self.sweep_span,
+                tid=index + 1, via_base=outcome.repriced,
+            )
+        elif self.telemetry is not None:
+            self.telemetry.event(
+                cell, kind="reprice", parent=self.sweep_span,
+                tid=index + 1, worker=outcome.worker,
+            )
+        if self.progress is not None:
+            self.progress(outcome)
+        for follower in self.followers.get(index, ()):
+            if error is None:
+                self._settle(
+                    follower, REPRICED,
+                    self._repriced(follower, result, outcome.worker),
+                )
+            else:
+                # Cells waiting to be re-priced from this simulation fail
+                # with it.
+                self._settle(
+                    follower, FAILED, self._failed(follower, error, 0.0),
+                    attempts,
+                )
+        if origin != FOLLOWER:
+            self._heartbeat()
+
+    def _end(self, state: str) -> SweepReport:
+        """The one exit, ``state`` being finished, failed or interrupted.
+
+        Stops the executor, ends every open span, journals the end and
+        publishes the last status snapshot; returns the report of every
+        cell that settled.
+        """
+        if self.executor is not None:
+            self.executor.abort()
+        if self.telemetry is not None:
+            for index in list(self.cell_spans):
+                self._end_cell_span(index, status=state)
+            self.sweep_span.end(status=state)
+        report = SweepReport(
+            outcomes=tuple(o for o in self.outcomes if o is not None),
+            wall_time=self.wall.total_seconds - self.wall_before,
+            jobs=self.jobs,
+            registry=self.registry,
+            trace_generations=self.registry.counter_value(
+                "sweep.trace_generations"
+            ) - self.generations_before,
+        )
+        failed = self.counts[FAILED]
+        if self.journal is not None:
+            self.journal.record_end(state, self.done - failed, failed)
+        if state == "finished":
+            self.registry.gauge("sweep.refs_per_sec").set(report.refs_per_sec)
+        self._publish_status(state)
+        return report
+
+    # -- what the transitions share ------------------------------------------
+
+    def _count(self, name: str) -> None:
+        self.counts[name] += 1
+        self.registry.counter(_COUNTERS[name]).inc()
+
+    def _repriced(
+        self, index: int, result: SimulationResult, worker: int,
+        cached: bool = False,
+    ) -> RunOutcome:
+        """Cell ``index`` priced from another pricing's counters."""
+        spec = self.specs[index]
+        return RunOutcome(
+            spec=spec, result=result, cached=cached, elapsed=0.0,
+            worker=worker, repriced=True,
+            manifest=collect_manifest(
+                spec.as_dict(), self.keys[index], 0.0, worker_pid=worker
+            ),
         )
 
-    def _finished_counts() -> Tuple[int, int]:
-        finished = [o for o in outcomes if o is not None]
-        ok = sum(1 for o in finished if o.ok)
-        return ok, len(finished) - ok
+    def _failed(self, index: int, error: RunError, elapsed: float) -> RunOutcome:
+        spec = self.specs[index]
+        return RunOutcome(
+            spec=spec, result=None, cached=False, elapsed=elapsed,
+            worker=error.worker, error=error,
+            manifest=collect_manifest(
+                spec.as_dict(), self.keys[index], elapsed,
+                worker_pid=error.worker, error=error.to_dict(),
+            ),
+        )
 
-    try:
-        _publish_status("running")
-        with wall.time():
-            _scan_cache()
-            _group_repricing()
-            if pending:
-                if use_executor:
-                    _run_executor()
-                else:
-                    _run_inline()
-    except KeyboardInterrupt:
-        if executor is not None:
-            executor.abort()
-        _close_telemetry("interrupted")
-        ok, failed = _finished_counts()
-        if journal is not None:
-            journal.record_end("interrupted", ok, failed)
-        _publish_status("interrupted")
-        partial = SweepReport(
-            outcomes=tuple(o for o in outcomes if o is not None),
-            wall_time=wall.total_seconds - wall_before,
-            jobs=jobs,
-            registry=registry,
-            trace_generations=_generations(),
-        )
-        logger.warning(
-            "sweep interrupted; completed cells are flushed",
-            extra=fields(completed=ok + failed, total=len(specs)),
-        )
-        raise SweepInterrupted(partial, len(specs)) from None
-    except CellFailure:
-        if executor is not None:
-            executor.abort()
-        _close_telemetry("failed")
-        ok, failed = _finished_counts()
-        if journal is not None:
-            journal.record_end("failed", ok, failed)
-        _publish_status("failed")
-        raise
+    def _cell_span(self, index: int):
+        """The cell's open span, created on first use (telemetry only)."""
+        span = self.cell_spans.get(index)
+        if span is None and self.telemetry is not None:
+            span = self.cell_spans[index] = self.telemetry.begin(
+                self.cell_ids[index], kind="cell", parent=self.sweep_span,
+                tid=index + 1,
+            )
+        return span
 
-    wall_time = wall.total_seconds - wall_before
-    _close_telemetry("finished")
-    report = SweepReport(
-        outcomes=tuple(outcomes),
-        wall_time=wall_time,
-        jobs=jobs,
-        registry=registry,
-        trace_generations=_generations(),
-    )
-    if journal is not None:
-        journal.record_end(
-            "finished", len(report.successes), len(report.failures)
+    def _end_cell_span(self, index: int, **attributes: object) -> None:
+        span = self.cell_spans.pop(index, None)
+        if span is not None:
+            span.end(**attributes)
+
+    def _span_context(self, index: int):
+        """What a worker needs to hang its spans under this cell's span."""
+        if self.telemetry is None:
+            return None
+        return (self.telemetry.trace_id, self._cell_span(index).span_id)
+
+    def _heartbeat(self) -> None:
+        if self.beat_every <= 0:
+            return
+        now = time.perf_counter()
+        if now - self.last_beat >= self.beat_every:
+            self.last_beat = now
+            logger.info(
+                "sweep progress",
+                extra=fields(
+                    done=self.done,
+                    total=len(self.specs),
+                    simulated=self.counts[SIMULATED],
+                    failed=self.counts[FAILED],
+                    references=self.references,
+                ),
+            )
+            self._publish_status("running")
+
+    def _publish_status(self, state: str) -> None:
+        """Atomically refresh the status snapshot; degrade on any OSError.
+
+        Every count is this sweep's own, even when the registry is shared.
+        """
+        if self.status_file is None or not self.status_healthy:
+            return
+        counts, cells, done = self.counts, len(self.specs), self.done
+        running = self.executor.in_flight if self.executor is not None else 0
+        elapsed = time.perf_counter() - self.started
+        simulated = counts[SIMULATED]
+        eta = (
+            (cells - done) * self.simulated_seconds / simulated
+            / max(1, self.jobs)
+            if state == "running" and simulated and cells > done
+            else None
         )
-    registry.gauge("sweep.refs_per_sec").set(report.refs_per_sec)
-    _publish_status("finished")
-    logger.info(
-        "sweep finished",
-        extra=fields(
-            cells=report.cells,
-            simulated=report.simulations,
-            cache_hits=report.cache_hits,
-            failures=len(report.failures),
-            wall_s=round(wall_time, 3),
-            refs_per_sec=round(report.refs_per_sec),
-        ),
-    )
-    return report
+        try:
+            write_status(
+                self.status_file,
+                {
+                    "state": state,
+                    "ts": time.time(),
+                    "pid": os.getpid(),
+                    "sweep_id": self.sweep_id,
+                    "cells": cells,
+                    "done": done,
+                    "ok": done - counts[FAILED],
+                    "failed": counts[FAILED],
+                    "running": running,
+                    "pending": max(0, cells - done - running),
+                    "simulated": simulated,
+                    "cache_hits": counts["cache_hits"],
+                    "repriced": counts[REPRICED],
+                    "retries": counts["retries"],
+                    "timeouts": counts["timeouts"],
+                    "references": self.references,
+                    "refs_per_sec": (
+                        self.simulated_refs / elapsed if elapsed > 0 else 0.0
+                    ),
+                    "eta_s": eta,
+                    "wall_s": elapsed,
+                    "jobs": self.jobs,
+                    "journal": (
+                        str(self.journal.path)
+                        if self.journal is not None else None
+                    ),
+                },
+            )
+        except OSError as exc:
+            self.status_healthy = False
+            logger.warning(
+                "status snapshot write failed; disabling snapshots",
+                extra=fields(path=str(self.status_file), error=str(exc)),
+            )

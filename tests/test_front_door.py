@@ -9,7 +9,9 @@ tree, so a new private feed loop, or a second feed-and-merge path, fails
 here rather than drifting from the sweep engine unnoticed.
 
 The service has the same shape one level up: one ``run_sweep`` call runs
-every job, and one settle step ends it.
+every job, and one settle step ends it.  Inside the sweep, one transition
+step stores every cell's outcome, and no state is shared through
+``nonlocal``.
 """
 
 from __future__ import annotations
@@ -218,3 +220,32 @@ def test_only_the_settle_step_ends_a_job():
         )
     ]
     assert not strays, strays
+
+
+def test_the_sweep_shares_no_state_through_nonlocal():
+    tree = _trees()["runner/sweep.py"]
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Nonlocal)]
+
+
+def _outcome_stores(node: ast.AST, function: str, found: list) -> None:
+    """Collect the innermost enclosing function of each ``outcomes[...] =``."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        for target in targets:
+            for part in ast.walk(target):
+                if not isinstance(part, ast.Subscript):
+                    continue
+                owner = part.value
+                name = getattr(owner, "attr", getattr(owner, "id", ""))
+                if name == "outcomes":
+                    found.append(function)
+    for child in ast.iter_child_nodes(node):
+        _outcome_stores(child, function, found)
+
+
+def test_only_the_transition_step_stores_a_cell_outcome():
+    found: list = []
+    _outcome_stores(_trees()["runner/sweep.py"], "<module>", found)
+    assert found == ["_settle"], found
